@@ -8,7 +8,9 @@
 //!
 //! * [`Json`] — a value tree with insertion-ordered objects,
 //! * [`Json::parse`] — a recursive-descent parser with depth/size limits
-//!   (it reads network input in `bbs-serve`),
+//!   (it reads network input in `bbs-serve`). It runs in time linear in
+//!   the input size: plain string runs are copied with one `push_str`
+//!   each, never re-validated per character,
 //! * `Display` — compact serialization whose float formatting is Rust's
 //!   shortest round-trip form, so `parse(v.to_string())` reproduces `v`
 //!   bit-for-bit for every finite `f64`,
@@ -136,6 +138,7 @@ impl Json {
     /// valid UTF-8 — suitable for untrusted network input.
     pub fn parse(input: &str) -> Result<Json, ParseError> {
         let mut p = Parser {
+            src: input,
             bytes: input.as_bytes(),
             pos: 0,
             depth: 0,
@@ -289,6 +292,7 @@ impl std::error::Error for ParseError {}
 const MAX_DEPTH: usize = 128;
 
 struct Parser<'a> {
+    src: &'a str,
     bytes: &'a [u8],
     pos: usize,
     depth: usize,
@@ -453,13 +457,14 @@ impl<'a> Parser<'a> {
                 }
                 Some(c) if c < 0x20 => return Err(self.err("control character in string")),
                 Some(_) => {
-                    // Consume one UTF-8 scalar (input is valid UTF-8 by
-                    // construction: we parse from &str).
-                    let rest = &self.bytes[self.pos..];
-                    let text = std::str::from_utf8(rest).map_err(|_| self.err("bad utf-8"))?;
-                    let c = text.chars().next().unwrap();
-                    s.push(c);
-                    self.pos += c.len_utf8();
+                    // Copy the whole plain run in one go. Every stop byte
+                    // (`"`, `\`, < 0x20) is ASCII, so the run ends on a
+                    // char boundary of the `&str` input.
+                    let start = self.pos;
+                    while matches!(self.peek(), Some(c) if c != b'"' && c != b'\\' && c >= 0x20) {
+                        self.pos += 1;
+                    }
+                    s.push_str(&self.src[start..self.pos]);
                 }
             }
         }
@@ -644,6 +649,47 @@ mod tests {
             "\u{1f600}"
         );
         assert!(Json::parse("\"\\ud83d\"").is_err(), "lone surrogate");
+    }
+
+    #[test]
+    fn multibyte_runs_next_to_escapes_survive() {
+        // 2-byte (é) and 4-byte (emoji) scalars directly before and after
+        // simple escapes, \u escapes and surrogate pairs.
+        let src = "\"é\\n😀\\u00e9é\\ud83d\\ude00😀\\\"é\"";
+        assert_eq!(
+            Json::parse(src).unwrap().as_str().unwrap(),
+            "é\n😀éé\u{1f600}😀\"é"
+        );
+        let v = Json::Str("😀\té\u{1}😀é\"".to_string());
+        assert_eq!(Json::parse(&v.to_string()).unwrap(), v);
+        // A key made of multibyte runs and escapes decodes the same way.
+        let obj = Json::parse("{\"é\\u0041😀\":\"😀\\/é\"}").unwrap();
+        assert_eq!(obj.get("éA😀").unwrap().as_str().unwrap(), "😀/é");
+    }
+
+    #[test]
+    fn control_byte_after_long_run_errors_at_its_position() {
+        let run = "é".repeat(5000) + &"x".repeat(5000);
+        let src = format!("[\"{run}\u{1}tail\"]");
+        let e = Json::parse(&src).unwrap_err();
+        assert_eq!(e.pos, 2 + run.len(), "error must point at the control byte");
+        assert!(e.message.contains("control character"), "{e}");
+        let e = Json::parse(&format!("\"{run}\n\"")).unwrap_err();
+        assert_eq!(e.pos, 1 + run.len());
+        let e = Json::parse(&format!("\"{run}")).unwrap_err();
+        assert!(e.message.contains("unterminated"), "{e}");
+    }
+
+    #[test]
+    fn megabyte_string_roundtrips() {
+        let chunk = "plain ascii run é😀 \" \\ \t ";
+        let big: String = chunk.repeat((1 << 20) / chunk.len() + 1);
+        assert!(big.len() >= 1 << 20);
+        let v = Json::Arr(vec![Json::Str(big.clone()), Json::Null]);
+        let text = v.to_string();
+        let back = Json::parse(&text).unwrap();
+        assert_eq!(back.as_arr().unwrap()[0].as_str().unwrap(), big);
+        assert_eq!(back.to_string(), text);
     }
 
     #[test]

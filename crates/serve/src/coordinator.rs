@@ -48,10 +48,13 @@ use bbs_telemetry::prom::PromText;
 use bbs_telemetry::{Histogram, Value};
 use std::collections::VecDeque;
 use std::net::SocketAddr;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicU8, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
+
+/// Why a job failed when no untried shard can take it.
+const NO_SHARD: &str = "no shard available (all down or draining)";
 
 /// Forwarder threads (each with pooled keep-alive connections) per shard.
 pub const CONNECTIONS_PER_SHARD: usize = 4;
@@ -88,7 +91,8 @@ impl CoordinatorConfig {
 
 /// One job on its way to a shard.
 struct Job {
-    /// The `/simulate` body (the request re-encoded once, at submit).
+    /// The `/simulate` body (the request's wire form, encoded once at
+    /// submit: zoo models by name, custom layer tables inline).
     body: String,
     /// The job's content address — also its routing key.
     key: u64,
@@ -96,6 +100,36 @@ struct Job {
     done: Completion,
     /// Bitmask of shard indices already tried (reroute loop guard).
     tried: u64,
+}
+
+/// A shard's routing verdict. One atomic value, so routing, `/readyz`,
+/// `/stats` and `/metrics` always read the same answer.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+enum Health {
+    /// Reachable and `/readyz`-ready: takes new keys.
+    Up = 0,
+    /// Alive but draining or saturated: only a last resort.
+    Parked = 1,
+    /// Unreachable (connect refused, transport errors): never routed to.
+    Down = 2,
+}
+
+impl Health {
+    fn from_u8(v: u8) -> Health {
+        match v {
+            0 => Health::Up,
+            1 => Health::Parked,
+            _ => Health::Down,
+        }
+    }
+
+    fn label(self) -> &'static str {
+        match self {
+            Health::Up => "up",
+            Health::Parked => "parked",
+            Health::Down => "down",
+        }
+    }
 }
 
 /// Per-shard routing state and counters.
@@ -113,17 +147,35 @@ struct ShardState {
     rerouted: AtomicU64,
     /// Jobs currently being forwarded.
     in_flight: AtomicU64,
-    /// Transport-level verdict: connect refused / repeated resets.
-    down: AtomicBool,
-    /// Last `/readyz` verdict (alive shards can still be draining).
-    ready: AtomicBool,
+    /// The [`Health`] verdict, as its `u8` discriminant.
+    health: AtomicU8,
     /// Round-trip latency of successful forwards (µs).
     latency_us: Histogram,
 }
 
 impl ShardState {
-    fn serviceable(&self) -> bool {
-        !self.down.load(Ordering::SeqCst) && self.ready.load(Ordering::SeqCst)
+    fn new(addr: SocketAddr) -> ShardState {
+        let label = addr.to_string();
+        ShardState {
+            addr,
+            salt: fnv1a(label.as_bytes()),
+            label,
+            routed: AtomicU64::new(0),
+            errors: AtomicU64::new(0),
+            rerouted: AtomicU64::new(0),
+            in_flight: AtomicU64::new(0),
+            health: AtomicU8::new(Health::Up as u8),
+            latency_us: Histogram::new(),
+        }
+    }
+
+    fn health(&self) -> Health {
+        Health::from_u8(self.health.load(Ordering::SeqCst))
+    }
+
+    /// Stores a new verdict and returns the previous one.
+    fn set_health(&self, health: Health) -> Health {
+        Health::from_u8(self.health.swap(health as u8, Ordering::SeqCst))
     }
 }
 
@@ -183,25 +235,7 @@ impl Coordinator {
             !config.shards.is_empty() && config.shards.len() <= 64,
             "coordinator needs 1..=64 shards"
         );
-        let shards: Vec<ShardState> = config
-            .shards
-            .iter()
-            .map(|&addr| {
-                let label = addr.to_string();
-                ShardState {
-                    addr,
-                    salt: fnv1a(label.as_bytes()),
-                    label,
-                    routed: AtomicU64::new(0),
-                    errors: AtomicU64::new(0),
-                    rerouted: AtomicU64::new(0),
-                    in_flight: AtomicU64::new(0),
-                    down: AtomicBool::new(false),
-                    ready: AtomicBool::new(true),
-                    latency_us: Histogram::new(),
-                }
-            })
-            .collect();
+        let shards: Vec<ShardState> = config.shards.iter().map(|&a| ShardState::new(a)).collect();
         let per_shard = config.connections_per_shard.max(1);
         let pools = config
             .shards
@@ -258,7 +292,7 @@ impl Coordinator {
             return Submitted::ShuttingDown;
         }
         let key = request.key();
-        let body = request.to_json().to_string();
+        let body = request.to_wire_json().to_string();
         match self.inner.route(key, 0) {
             Some(idx) => {
                 self.inner.shards[idx]
@@ -276,9 +310,7 @@ impl Coordinator {
                 Submitted::Pending
             }
             None => {
-                done(Err(ExecuteError::Failed(
-                    "no shard available (all down or draining)".to_string(),
-                )));
+                done(Err(ExecuteError::Failed(NO_SHARD.to_string())));
                 Submitted::Pending
             }
         }
@@ -287,7 +319,7 @@ impl Coordinator {
     /// Whether at least one shard is currently reachable and ready —
     /// feeds the front end's own `/readyz`.
     pub fn any_serviceable(&self) -> bool {
-        self.inner.shards.iter().any(ShardState::serviceable)
+        self.inner.shards.iter().any(|s| s.health() == Health::Up)
     }
 
     /// How many jobs the front end should keep in flight at once: the
@@ -313,8 +345,7 @@ impl Coordinator {
                 let snap = s.latency_us.snapshot();
                 Json::obj(vec![
                     ("addr", Json::str(&s.label)),
-                    ("ready", Json::Bool(s.ready.load(Ordering::SeqCst))),
-                    ("down", Json::Bool(s.down.load(Ordering::SeqCst))),
+                    ("state", Json::str(s.health().label())),
                     ("routed", Json::from_u64(s.routed.load(Ordering::Relaxed))),
                     (
                         "rerouted",
@@ -392,7 +423,7 @@ impl Coordinator {
             "bbs_coord_shard_serviceable",
             "1 while the shard is reachable and /readyz-ready.",
             "shard",
-            &gauge(&|s| f64::from(u8::from(s.serviceable()))),
+            &gauge(&|s| f64::from(u8::from(s.health() == Health::Up))),
         );
         p.gauge_vec(
             "bbs_coord_shard_p99_seconds",
@@ -435,23 +466,47 @@ impl Inner {
         order
     }
 
-    /// The best untried shard for `key`: the highest-ranked serviceable
-    /// one, else the highest-ranked shard that is at least not known
-    /// down (its readiness may just be stale), else `None`.
+    /// The best untried shard for `key`: the highest-ranked `Up` one,
+    /// else — the parked fallback, since a parked verdict may be stale —
+    /// the highest-ranked `Parked` one; never a `Down` shard.
     fn route(&self, key: u64, tried: u64) -> Option<usize> {
-        let order = self.rank(key);
-        let untried = |&&i: &&usize| tried & (1u64 << i) == 0;
-        order
-            .iter()
-            .filter(untried)
-            .find(|&&i| self.shards[i].serviceable())
-            .or_else(|| {
-                order
-                    .iter()
-                    .filter(untried)
-                    .find(|&&i| !self.shards[i].down.load(Ordering::SeqCst))
-            })
-            .copied()
+        self.rank(key)
+            .into_iter()
+            .filter(|&i| tried & (1u64 << i) == 0)
+            .map(|i| (self.shards[i].health(), i))
+            .filter(|&(health, _)| health != Health::Down)
+            .min_by_key(|&(health, _)| health)
+            .map(|(_, i)| i)
+    }
+
+    /// Applies one `/readyz` probe outcome to shard `idx` in a single
+    /// store; leaving `Down` logs a recovery, entering it drops the
+    /// shard's pooled connections.
+    fn observe_probe(&self, idx: usize, probe: std::io::Result<u16>) {
+        let shard = &self.shards[idx];
+        let next = match &probe {
+            Ok(200) => Health::Up,
+            // Alive but refusing traffic (draining or saturated).
+            Ok(_) => Health::Parked,
+            Err(_) => Health::Down,
+        };
+        match (probe, shard.set_health(next)) {
+            (Ok(200), Health::Down) => self
+                .telemetry
+                .logger
+                .info("shard recovered", &[("shard", Value::Str(&shard.label))]),
+            (Err(e), Health::Up | Health::Parked) => {
+                self.pools[idx].clear();
+                self.telemetry.logger.warn(
+                    "shard probe failed",
+                    &[
+                        ("shard", Value::Str(&shard.label)),
+                        ("error", Value::Str(&e.to_string())),
+                    ],
+                );
+            }
+            _ => {}
+        }
     }
 
     fn push(&self, idx: usize, job: Job) {
@@ -505,7 +560,17 @@ impl Inner {
             match client.request("POST", "/simulate", &job.body) {
                 Ok((200, resp)) => {
                     return match parse_simulate_response(&resp) {
-                        Some((_key, served, text)) => {
+                        // The echoed key proves the shard simulated the
+                        // cell we asked for (its zoo matches ours).
+                        Some((key, _, _)) if key != job.key => {
+                            pool.put(client);
+                            Err(ShardError::Definitive(format!(
+                                "shard {} keyed the cell differently: \
+                                 sent {:016x}, got {key:016x}",
+                                shard.label, job.key
+                            )))
+                        }
+                        Some((_, served, text)) => {
                             let text = text.to_string();
                             pool.put(client);
                             Ok((served, text))
@@ -568,7 +633,7 @@ impl Inner {
             }
             Err(ShardError::Unavailable(message)) => {
                 shard.errors.fetch_add(1, Ordering::Relaxed);
-                shard.down.store(true, Ordering::SeqCst);
+                shard.set_health(Health::Down);
                 self.pools[idx].clear();
                 let tried = job.tried | (1u64 << idx);
                 match self.route(job.key, tried) {
@@ -586,7 +651,7 @@ impl Inner {
                         self.push(next, Job { tried, ..job });
                     }
                     None => (job.done)(Err(ExecuteError::Failed(format!(
-                        "every shard failed; last: {message}"
+                        "{NO_SHARD}; last: {message}"
                     )))),
                 }
             }
@@ -601,43 +666,15 @@ fn forwarder_loop(inner: &Inner, idx: usize) {
 }
 
 /// Polls every shard's `/readyz` on a fixed cadence: a 200 re-admits a
-/// shard (clearing a transport-level `down` verdict), a 503 parks it
-/// (alive but draining/saturated — stop sending new keys), a transport
-/// error marks it down.
+/// shard (clearing a down verdict), a 503 parks it (alive but
+/// draining/saturated — stop sending new keys), a transport error marks
+/// it down.
 fn probe_loop(inner: &Inner) {
     while !inner.stopping.load(Ordering::SeqCst) {
-        for (i, shard) in inner.shards.iter().enumerate() {
-            let probe = Client::connect_with_timeout(shard.addr, PROBE_TIMEOUT)
+        for idx in 0..inner.shards.len() {
+            let probe = Client::connect_with_timeout(inner.shards[idx].addr, PROBE_TIMEOUT)
                 .and_then(|mut c| c.get("/readyz"));
-            match probe {
-                Ok((200, _)) => {
-                    shard.ready.store(true, Ordering::SeqCst);
-                    if shard.down.swap(false, Ordering::SeqCst) {
-                        inner
-                            .telemetry
-                            .logger
-                            .info("shard recovered", &[("shard", Value::Str(&shard.label))]);
-                    }
-                }
-                Ok((_, _)) => {
-                    // Alive but refusing traffic (draining or saturated).
-                    shard.ready.store(false, Ordering::SeqCst);
-                    shard.down.store(false, Ordering::SeqCst);
-                }
-                Err(e) => {
-                    shard.ready.store(false, Ordering::SeqCst);
-                    if !shard.down.swap(true, Ordering::SeqCst) {
-                        inner.pools[i].clear();
-                        inner.telemetry.logger.warn(
-                            "shard probe failed",
-                            &[
-                                ("shard", Value::Str(&shard.label)),
-                                ("error", Value::Str(&e.to_string())),
-                            ],
-                        );
-                    }
-                }
-            }
+            inner.observe_probe(idx, probe.map(|(status, _)| status));
         }
         let mut slept = Duration::ZERO;
         while slept < inner.probe_interval && !inner.stopping.load(Ordering::SeqCst) {
@@ -655,22 +692,7 @@ mod tests {
     fn test_inner(addrs: &[&str]) -> Inner {
         let shards = addrs
             .iter()
-            .map(|a| {
-                let addr: SocketAddr = a.parse().unwrap();
-                let label = addr.to_string();
-                ShardState {
-                    addr,
-                    salt: fnv1a(label.as_bytes()),
-                    label,
-                    routed: AtomicU64::new(0),
-                    errors: AtomicU64::new(0),
-                    rerouted: AtomicU64::new(0),
-                    in_flight: AtomicU64::new(0),
-                    down: AtomicBool::new(false),
-                    ready: AtomicBool::new(true),
-                    latency_us: Histogram::new(),
-                }
-            })
+            .map(|a| ShardState::new(a.parse().unwrap()))
             .collect::<Vec<_>>();
         let pools = shards.iter().map(|s| ClientPool::new(s.addr, 1)).collect();
         let queues = (0..shards.len()).map(|_| JobQueue::default()).collect();
@@ -714,7 +736,7 @@ mod tests {
     fn losing_a_shard_only_moves_its_own_keys() {
         let inner = test_inner(&["127.0.0.1:9001", "127.0.0.1:9002", "127.0.0.1:9003"]);
         let before: Vec<usize> = (0..1024u64).map(|k| inner.route(k, 0).unwrap()).collect();
-        inner.shards[1].down.store(true, Ordering::SeqCst);
+        inner.shards[1].set_health(Health::Down);
         for (k, &home) in before.iter().enumerate() {
             let now = inner.route(k as u64, 0).unwrap();
             if home != 1 {
@@ -733,11 +755,158 @@ mod tests {
         let second = inner.route(key, 1 << first).unwrap();
         assert_ne!(first, second);
         assert_eq!(inner.route(key, (1 << first) | (1 << second)), None);
-        // A draining shard (ready=false) is skipped while any ready one
-        // remains, but still beats a down shard as a last resort.
-        inner.shards[first].ready.store(false, Ordering::SeqCst);
+        // A parked (draining) shard is skipped while any up one remains,
+        // but still beats a down shard as a last resort.
+        inner.shards[first].set_health(Health::Parked);
         assert_eq!(inner.route(key, 0), Some(second));
-        inner.shards[second].down.store(true, Ordering::SeqCst);
+        inner.shards[second].set_health(Health::Down);
         assert_eq!(inner.route(key, 0), Some(first));
+    }
+
+    /// Drives every `(from, probe outcome)` transition directly and checks
+    /// that routing, `/readyz`, `/stats` and `/metrics` agree on the
+    /// result — they all read the one atomic verdict.
+    #[test]
+    fn every_probe_transition_is_read_the_same_everywhere() {
+        let coordinator = Coordinator {
+            inner: Arc::new(test_inner(&["127.0.0.1:9001"])),
+            threads: Mutex::new(Vec::new()),
+        };
+        let inner = &coordinator.inner;
+        // `None` stands for a probe that got no answer at all.
+        let outcomes = [
+            (Some(200), Health::Up),
+            (Some(503), Health::Parked),
+            (None, Health::Down),
+        ];
+        for from in [Health::Up, Health::Parked, Health::Down] {
+            for (status, expected) in outcomes {
+                inner.shards[0].set_health(from);
+                let probe = status.ok_or_else(|| std::io::ErrorKind::ConnectionRefused.into());
+                inner.observe_probe(0, probe);
+                let health = inner.shards[0].health();
+                assert_eq!(health, expected, "{from:?} -> {expected:?}");
+                let up = health == Health::Up;
+                assert_eq!(coordinator.any_serviceable(), up, "readyz for {health:?}");
+                assert_eq!(
+                    inner.route(7, 0).is_some(),
+                    health != Health::Down,
+                    "route for {health:?}"
+                );
+                let stats = coordinator.stats_json();
+                let shard = &stats.get("shards").unwrap().as_arr().unwrap()[0];
+                assert_eq!(shard.get("state").unwrap().as_str(), Some(health.label()));
+                let mut p = PromText::new();
+                coordinator.append_prometheus(&mut p);
+                let gauge = format!(
+                    "bbs_coord_shard_serviceable{{shard=\"127.0.0.1:9001\"}} {}",
+                    u8::from(up)
+                );
+                assert!(p.finish().contains(&gauge), "metrics for {health:?}");
+            }
+        }
+    }
+
+    /// A job whose shard refuses connections marks it down in the same
+    /// store the prober uses; with nothing left to reroute to it fails
+    /// with the same "no shard available" reason as a submit would.
+    #[test]
+    fn unavailable_shard_goes_down_and_exhaustion_reports_no_shard() {
+        let dead = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = dead.local_addr().unwrap().to_string();
+        drop(dead);
+        let mut inner = test_inner(&[&addr]);
+        inner.retry.attempts = 1;
+        let (tx, rx) = std::sync::mpsc::channel();
+        inner.forward(0, job(1, "{}", tx));
+        assert_eq!(inner.shards[0].health(), Health::Down);
+        let message = match rx.recv().unwrap() {
+            Err(ExecuteError::Failed(m)) => m,
+            other => panic!("expected a failure, got {:?}", other.map(|(t, ..)| t)),
+        };
+        assert!(message.starts_with(NO_SHARD), "{message}");
+        assert_eq!(inner.route(1, 0), None);
+    }
+
+    type Outcome = Result<(Arc<str>, Served, Timing), ExecuteError>;
+
+    fn job(key: u64, body: &str, tx: std::sync::mpsc::Sender<Outcome>) -> Job {
+        Job {
+            body: body.to_string(),
+            key,
+            done: Box::new(move |r| tx.send(r).unwrap()),
+            tried: 0,
+        }
+    }
+
+    /// A one-shot shard: reads one request (head and body), answers it
+    /// with `body` as a 200 `/simulate` response, then closes.
+    fn canned_shard(body: String) -> String {
+        use std::io::{Read, Write};
+        let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap().to_string();
+        std::thread::spawn(move || {
+            let (mut sock, _) = listener.accept().unwrap();
+            let mut seen = Vec::new();
+            let mut buf = [0u8; 4096];
+            loop {
+                let n = sock.read(&mut buf).unwrap();
+                seen.extend_from_slice(&buf[..n]);
+                let text = String::from_utf8_lossy(&seen);
+                if let Some(head_end) = text.find("\r\n\r\n") {
+                    let len: usize = text[..head_end]
+                        .lines()
+                        .find_map(|l| l.strip_prefix("content-length: "))
+                        .map_or(0, |v| v.trim().parse().unwrap());
+                    if seen.len() >= head_end + 4 + len || n == 0 {
+                        break;
+                    }
+                }
+            }
+            let response = format!(
+                "HTTP/1.1 200 OK\r\ncontent-type: application/json\r\n\
+                 connection: close\r\ncontent-length: {}\r\n\r\n{body}",
+                body.len()
+            );
+            sock.write_all(response.as_bytes()).unwrap();
+        });
+        addr
+    }
+
+    fn shard_answer(key: u64) -> String {
+        crate::server::simulate_ok_body(key, Served::Hit, "{\"cycles\":1}")
+    }
+
+    #[test]
+    fn echoed_key_mismatch_is_a_definitive_error() {
+        let inner = test_inner(&[&canned_shard(shard_answer(0xbad))]);
+        let (tx, rx) = std::sync::mpsc::channel();
+        inner.forward(0, job(0x600d, "{}", tx));
+        let message = match rx.recv().unwrap() {
+            Err(ExecuteError::Failed(m)) => m,
+            other => panic!(
+                "mismatch must not succeed, got {:?}",
+                other.map(|(t, ..)| t)
+            ),
+        };
+        assert!(message.contains("keyed the cell differently"), "{message}");
+        assert!(message.contains("0000000000000bad"), "{message}");
+        // Definitive: counted as an error, but the shard stays routable.
+        assert_eq!(inner.shards[0].errors.load(Ordering::Relaxed), 1);
+        assert_eq!(inner.shards[0].health(), Health::Up);
+    }
+
+    #[test]
+    fn echoed_key_match_completes_with_the_result_bytes() {
+        let inner = test_inner(&[&canned_shard(shard_answer(0x600d))]);
+        let (tx, rx) = std::sync::mpsc::channel();
+        inner.forward(0, job(0x600d, "{}", tx));
+        match rx.recv().unwrap() {
+            Ok((text, served, _)) => {
+                assert_eq!(&*text, "{\"cycles\":1}");
+                assert_eq!(served, Served::Hit);
+            }
+            Err(e) => panic!("matching key must succeed: {e:?}"),
+        }
     }
 }

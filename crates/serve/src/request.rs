@@ -78,8 +78,25 @@ impl SimRequest {
     /// Re-encodes the request (canonical field order). The response echoes
     /// this so clients can verify what was actually simulated.
     pub fn to_json(&self) -> Json {
+        self.encode_with_model(bbs_models::json::model_spec_to_json(&self.model))
+    }
+
+    /// The request as a coordinator forwards it: a zoo model travels as
+    /// its name, a custom layer table inline. Either form decodes on the
+    /// shard to the same request and therefore the same [`key`](Self::key);
+    /// the name form skips encoding and re-parsing the whole layer table.
+    pub fn to_wire_json(&self) -> Json {
+        let model = if zoo::by_name(self.model.name).as_ref() == Some(&self.model) {
+            Json::str(self.model.name)
+        } else {
+            bbs_models::json::model_spec_to_json(&self.model)
+        };
+        self.encode_with_model(model)
+    }
+
+    fn encode_with_model(&self, model: Json) -> Json {
         Json::obj(vec![
-            ("model", bbs_models::json::model_spec_to_json(&self.model)),
+            ("model", model),
             ("accelerator", Json::str(self.accelerator)),
             ("config", bbs_sim::json::array_config_to_json(&self.config)),
             ("seed", Json::from_u64(self.seed)),
@@ -137,6 +154,50 @@ mod tests {
         let again = SimRequest::from_json(&r.to_json(), 65536).unwrap();
         assert_eq!(again, r);
         assert_eq!(again.key(), r.key());
+    }
+
+    #[test]
+    fn wire_body_names_zoo_models_and_keeps_the_key() {
+        for model in zoo::all() {
+            for accelerator in crate::registry::ACCELERATOR_IDS {
+                let request = SimRequest {
+                    model: model.clone(),
+                    accelerator,
+                    config: ArrayConfig::paper_16x32(),
+                    seed: 3,
+                    max_weights_per_layer: 256,
+                };
+                let wire = request.to_wire_json();
+                assert_eq!(wire.get("model"), Some(&Json::str(model.name)));
+                let by_name = decode(&wire);
+                let inline = decode(&request.to_json());
+                assert_eq!(by_name, inline, "{} on {accelerator}", model.name);
+                assert_eq!(by_name.key(), request.key());
+                assert_eq!(inline.key(), request.key());
+            }
+        }
+    }
+
+    #[test]
+    fn wire_body_keeps_custom_layer_tables_inline() {
+        let mut model = zoo::by_name("ViT-Small").unwrap();
+        model.layers.truncate(2);
+        let request = SimRequest {
+            model,
+            accelerator: "stripes",
+            config: ArrayConfig::paper_16x32(),
+            seed: 7,
+            max_weights_per_layer: 128,
+        };
+        let wire = request.to_wire_json();
+        assert_eq!(wire, request.to_json(), "custom tables go inline");
+        assert!(wire.get("model").unwrap().get("layers").is_some());
+        assert_eq!(decode(&wire), request);
+    }
+
+    /// Decodes a request the way a shard receives it: from its text.
+    fn decode(v: &Json) -> SimRequest {
+        SimRequest::from_json(&Json::parse(&v.to_string()).unwrap(), 65536).unwrap()
     }
 
     #[test]

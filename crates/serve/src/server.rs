@@ -455,7 +455,7 @@ fn sweep_route(body: &[u8], shared: &Shared) -> RouteOutcome {
 /// The `/simulate` 200 body. The cached payload is spliced in verbatim —
 /// the result is *not* re-parsed/re-encoded, so byte identity across hits
 /// is structural, not probabilistic.
-pub(crate) fn simulate_ok_body(key: u64, served: Served, result_text: &str) -> String {
+pub fn simulate_ok_body(key: u64, served: Served, result_text: &str) -> String {
     let meta = Json::obj(vec![
         ("cached", Json::Bool(served == Served::Hit)),
         (
