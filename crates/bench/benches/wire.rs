@@ -5,6 +5,7 @@
 //! in the document size.
 
 use bbs_json::Json;
+use bbs_models::json::model_spec_to_json;
 use bbs_models::zoo;
 use bbs_serve::registry::accelerator_by_name;
 use bbs_serve::server::simulate_ok_body;
@@ -41,7 +42,13 @@ fn bench_wire(c: &mut Criterion) {
         b.iter(|| black_box(Json::parse(black_box(&response)).unwrap()))
     });
 
-    let inline = request.to_json().to_string();
+    // The same request with its layer table inline, as a custom model
+    // travels; `to_json` names zoo models.
+    let mut inline = request.to_json();
+    if let Json::Obj(pairs) = &mut inline {
+        pairs[0].1 = model_spec_to_json(&request.model);
+    }
+    let inline = inline.to_string();
     c.bench_function("wire/decode_request_inline_spec", |b| {
         b.iter(|| {
             let v = Json::parse(black_box(&inline)).unwrap();
@@ -49,7 +56,7 @@ fn bench_wire(c: &mut Criterion) {
         })
     });
 
-    let by_name = request.to_wire_json().to_string();
+    let by_name = request.to_json().to_string();
     c.bench_function("wire/decode_request_by_name", |b| {
         b.iter(|| {
             let v = Json::parse(black_box(&by_name)).unwrap();

@@ -674,34 +674,40 @@ fn splice_simulate_record(meta: &crate::sweep::CellMeta, resp: &str) -> Option<S
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use std::net::TcpListener;
 
     /// Serves one connection with a canned byte response, then closes.
-    fn canned_server(response: &'static [u8]) -> SocketAddr {
+    pub(crate) fn canned_server(response: impl Into<Vec<u8>>) -> SocketAddr {
+        let response = response.into();
         let listener = TcpListener::bind("127.0.0.1:0").unwrap();
         let addr = listener.local_addr().unwrap();
         std::thread::spawn(move || {
             let (mut sock, _) = listener.accept().unwrap();
-            // Drain the full request head before responding — the client
-            // writes in several small chunks, and closing early would turn
-            // its write into a BrokenPipe instead of exercising the read
-            // path under test.
-            let mut head = Vec::new();
-            let mut buf = [0u8; 1024];
+            // Drain the full request (head and any content-length body)
+            // before responding — the client writes in several small
+            // chunks, and closing early would turn its write into a
+            // BrokenPipe instead of exercising the read path under test.
+            let mut seen = Vec::new();
+            let mut buf = [0u8; 4096];
             loop {
                 match io::Read::read(&mut sock, &mut buf) {
                     Ok(0) | Err(_) => break,
-                    Ok(k) => {
-                        head.extend_from_slice(&buf[..k]);
-                        if head.windows(4).any(|w| w == b"\r\n\r\n") {
-                            break;
-                        }
+                    Ok(k) => seen.extend_from_slice(&buf[..k]),
+                }
+                if let Some(head_end) = seen.windows(4).position(|w| w == b"\r\n\r\n") {
+                    let head = String::from_utf8_lossy(&seen[..head_end]).to_ascii_lowercase();
+                    let body_len: usize = head
+                        .lines()
+                        .find_map(|l| l.strip_prefix("content-length:"))
+                        .map_or(0, |v| v.trim().parse().unwrap());
+                    if seen.len() >= head_end + 4 + body_len {
+                        break;
                     }
                 }
             }
-            sock.write_all(response).unwrap();
+            sock.write_all(&response).unwrap();
             // Dropping the socket closes the connection (EOF framing).
         });
         addr
@@ -933,7 +939,7 @@ mod tests {
             "{\"summary\":{\"cells\":2,\"ok\":0,\"errors\":2,\"cache_hits\":0,\
              \"coalesced\":0,\"simulated\":0,\"wall_ms\":0}}",
         );
-        let addr = canned_server(Box::leak(response.into_bytes().into_boxed_slice()));
+        let addr = canned_server(response);
         let outcome = sweep_with_resume(addr, RESUME_SWEEP_BODY, &RetryPolicy::default()).unwrap();
         assert_eq!(outcome.records.len(), 2);
         assert_eq!(outcome.resumed, 0);

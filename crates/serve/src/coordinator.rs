@@ -292,7 +292,7 @@ impl Coordinator {
             return Submitted::ShuttingDown;
         }
         let key = request.key();
-        let body = request.to_wire_json().to_string();
+        let body = request.to_json().to_string();
         match self.inner.route(key, 0) {
             Some(idx) => {
                 self.inner.shards[idx]
@@ -839,38 +839,15 @@ mod tests {
         }
     }
 
-    /// A one-shot shard: reads one request (head and body), answers it
-    /// with `body` as a 200 `/simulate` response, then closes.
+    /// A one-shot shard: reads one request, answers it with `body` as a
+    /// 200 `/simulate` response, then closes.
     fn canned_shard(body: String) -> String {
-        use std::io::{Read, Write};
-        let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
-        let addr = listener.local_addr().unwrap().to_string();
-        std::thread::spawn(move || {
-            let (mut sock, _) = listener.accept().unwrap();
-            let mut seen = Vec::new();
-            let mut buf = [0u8; 4096];
-            loop {
-                let n = sock.read(&mut buf).unwrap();
-                seen.extend_from_slice(&buf[..n]);
-                let text = String::from_utf8_lossy(&seen);
-                if let Some(head_end) = text.find("\r\n\r\n") {
-                    let len: usize = text[..head_end]
-                        .lines()
-                        .find_map(|l| l.strip_prefix("content-length: "))
-                        .map_or(0, |v| v.trim().parse().unwrap());
-                    if seen.len() >= head_end + 4 + len || n == 0 {
-                        break;
-                    }
-                }
-            }
-            let response = format!(
-                "HTTP/1.1 200 OK\r\ncontent-type: application/json\r\n\
-                 connection: close\r\ncontent-length: {}\r\n\r\n{body}",
-                body.len()
-            );
-            sock.write_all(response.as_bytes()).unwrap();
-        });
-        addr
+        let response = format!(
+            "HTTP/1.1 200 OK\r\ncontent-type: application/json\r\n\
+             connection: close\r\ncontent-length: {}\r\n\r\n{body}",
+            body.len()
+        );
+        crate::client::tests::canned_server(response).to_string()
     }
 
     fn shard_answer(key: u64) -> String {

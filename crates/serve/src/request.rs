@@ -75,26 +75,17 @@ impl SimRequest {
         })
     }
 
-    /// Re-encodes the request (canonical field order). The response echoes
-    /// this so clients can verify what was actually simulated.
+    /// Encodes the request as a `/simulate` body (canonical field order).
+    /// A zoo model travels as its name, a custom layer table inline; either
+    /// form decodes to the same request and therefore the same
+    /// [`key`](Self::key), and the name form spares both ends encoding and
+    /// re-parsing the whole layer table.
     pub fn to_json(&self) -> Json {
-        self.encode_with_model(bbs_models::json::model_spec_to_json(&self.model))
-    }
-
-    /// The request as a coordinator forwards it: a zoo model travels as
-    /// its name, a custom layer table inline. Either form decodes on the
-    /// shard to the same request and therefore the same [`key`](Self::key);
-    /// the name form skips encoding and re-parsing the whole layer table.
-    pub fn to_wire_json(&self) -> Json {
         let model = if zoo::by_name(self.model.name).as_ref() == Some(&self.model) {
             Json::str(self.model.name)
         } else {
             bbs_models::json::model_spec_to_json(&self.model)
         };
-        self.encode_with_model(model)
-    }
-
-    fn encode_with_model(&self, model: Json) -> Json {
         Json::obj(vec![
             ("model", model),
             ("accelerator", Json::str(self.accelerator)),
@@ -157,7 +148,7 @@ mod tests {
     }
 
     #[test]
-    fn wire_body_names_zoo_models_and_keeps_the_key() {
+    fn zoo_models_are_encoded_by_name_and_keep_the_key() {
         for model in zoo::all() {
             for accelerator in crate::registry::ACCELERATOR_IDS {
                 let request = SimRequest {
@@ -167,10 +158,10 @@ mod tests {
                     seed: 3,
                     max_weights_per_layer: 256,
                 };
-                let wire = request.to_wire_json();
-                assert_eq!(wire.get("model"), Some(&Json::str(model.name)));
-                let by_name = decode(&wire);
-                let inline = decode(&request.to_json());
+                let body = request.to_json();
+                assert_eq!(body.get("model"), Some(&Json::str(model.name)));
+                let by_name = decode(&body);
+                let inline = decode(&with_inline_model(&body, &request.model));
                 assert_eq!(by_name, inline, "{} on {accelerator}", model.name);
                 assert_eq!(by_name.key(), request.key());
                 assert_eq!(inline.key(), request.key());
@@ -179,7 +170,7 @@ mod tests {
     }
 
     #[test]
-    fn wire_body_keeps_custom_layer_tables_inline() {
+    fn custom_layer_tables_are_encoded_inline() {
         let mut model = zoo::by_name("ViT-Small").unwrap();
         model.layers.truncate(2);
         let request = SimRequest {
@@ -189,13 +180,28 @@ mod tests {
             seed: 7,
             max_weights_per_layer: 128,
         };
-        let wire = request.to_wire_json();
-        assert_eq!(wire, request.to_json(), "custom tables go inline");
-        assert!(wire.get("model").unwrap().get("layers").is_some());
-        assert_eq!(decode(&wire), request);
+        let body = request.to_json();
+        assert!(body.get("model").unwrap().get("layers").is_some());
+        assert_eq!(decode(&body), request);
     }
 
-    /// Decodes a request the way a shard receives it: from its text.
+    /// `body` with its `model` field replaced by `model`'s full layer table.
+    fn with_inline_model(body: &Json, model: &ModelSpec) -> Json {
+        let Json::Obj(pairs) = body else {
+            panic!("request body is an object")
+        };
+        let pairs = pairs.iter().map(|(k, v)| {
+            let v = if k == "model" {
+                bbs_models::json::model_spec_to_json(model)
+            } else {
+                v.clone()
+            };
+            (k.clone(), v)
+        });
+        Json::Obj(pairs.collect())
+    }
+
+    /// Decodes a request the way a server receives it: from its text.
     fn decode(v: &Json) -> SimRequest {
         SimRequest::from_json(&Json::parse(&v.to_string()).unwrap(), 65536).unwrap()
     }
