@@ -3,6 +3,10 @@
 //! `/simulate` response) and a shard does per request (decode the body,
 //! by zoo name or with an inline layer table). All three must stay linear
 //! in the document size.
+//!
+//! Also the request's content key, computed once per request on both
+//! ends: over a zoo model's memoized canonical bytes, and over a custom
+//! layer table that is canonicalized per call.
 
 use bbs_json::Json;
 use bbs_models::json::model_spec_to_json;
@@ -62,6 +66,16 @@ fn bench_wire(c: &mut Criterion) {
             let v = Json::parse(black_box(&by_name)).unwrap();
             black_box(SimRequest::from_json(&v, 65536).unwrap())
         })
+    });
+
+    c.bench_function("wire/key_zoo_bert", |b| {
+        b.iter(|| black_box(black_box(&request).key()))
+    });
+
+    let mut custom = request.clone();
+    custom.model.layers[0].channels += 1;
+    c.bench_function("wire/key_custom_table", |b| {
+        b.iter(|| black_box(black_box(&custom).key()))
     });
 }
 

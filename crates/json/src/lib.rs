@@ -14,13 +14,13 @@
 //! * `Display` — compact serialization whose float formatting is Rust's
 //!   shortest round-trip form, so `parse(v.to_string())` reproduces `v`
 //!   bit-for-bit for every finite `f64`,
-//! * [`fnv1a_64`] — the stable hash used for content-addressed cache keys.
+//! * [`Fnv1a`] / [`fnv1a_64`] — the stable (streaming / one-shot) hash
+//!   used for content-addressed cache keys.
 //!
 //! Numbers are stored as `f64`; integers are exact up to 2^53, which the
 //! simulator's cycle/traffic counters stay well below (asserted by
 //! [`Json::from_u64`]).
 
-use std::collections::BTreeMap;
 use std::fmt;
 
 /// Largest integer exactly representable in an `f64`.
@@ -163,19 +163,35 @@ impl Json {
     /// A canonical form for hashing: objects with keys sorted recursively,
     /// serialized compactly. Two structurally equal values always produce
     /// the same canonical string regardless of key insertion order.
+    ///
+    /// Of repeated keys in one object only the last is kept.
     pub fn canonical(&self) -> String {
-        fn sort(v: &Json) -> Json {
-            match v {
-                Json::Obj(pairs) => {
-                    let sorted: BTreeMap<String, Json> =
-                        pairs.iter().map(|(k, v)| (k.clone(), sort(v))).collect();
-                    Json::Obj(sorted.into_iter().collect())
-                }
-                Json::Arr(items) => Json::Arr(items.iter().map(sort).collect()),
-                other => other.clone(),
-            }
+        let mut out = String::new();
+        write_canonical(&mut out, self);
+        out
+    }
+}
+
+/// Writes `v` compactly with every object's keys sorted, borrowing the
+/// tree instead of rebuilding a sorted copy of it.
+fn write_canonical(out: &mut String, v: &Json) {
+    match v {
+        Json::Arr(items) => write_seq(out, items.len(), 0, 0, '[', ']', |out, i| {
+            write_canonical(out, &items[i])
+        }),
+        Json::Obj(pairs) => {
+            // Reversed before a stable sort, the last-inserted of repeated
+            // keys leads its run and is the one `dedup_by` keeps.
+            let mut sorted: Vec<&(String, Json)> = pairs.iter().rev().collect();
+            sorted.sort_by(|a, b| a.0.cmp(&b.0));
+            sorted.dedup_by(|later, kept| later.0 == kept.0);
+            write_seq(out, sorted.len(), 0, 0, '{', '}', |out, i| {
+                write_string(out, &sorted[i].0);
+                out.push(':');
+                write_canonical(out, &sorted[i].1);
+            })
         }
-        sort(self).to_string()
+        other => write_value(out, other, 0, 0),
     }
 }
 
@@ -515,16 +531,49 @@ impl<'a> Parser<'a> {
     }
 }
 
-/// 64-bit FNV-1a — a stable, dependency-free hash whose value never
-/// changes across runs, platforms or library versions, unlike
+/// Streaming 64-bit FNV-1a — a stable, dependency-free hash whose value
+/// never changes across runs, platforms or library versions, unlike
 /// `std::hash::DefaultHasher`. Used for content-addressed cache keys.
-pub fn fnv1a_64(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
+///
+/// Writing a byte string in pieces hashes exactly like writing it whole,
+/// so a key over a long document can be assembled from parts that are
+/// cached separately without materializing the concatenation.
+#[derive(Debug, Clone, Copy)]
+pub struct Fnv1a(u64);
+
+impl Fnv1a {
+    /// A hasher over the empty string.
+    pub const fn new() -> Fnv1a {
+        Fnv1a(0xcbf2_9ce4_8422_2325)
     }
-    h
+
+    /// Appends `bytes` to the hashed string.
+    pub fn write(&mut self, bytes: &[u8]) {
+        let mut h = self.0;
+        for &b in bytes {
+            h ^= b as u64;
+            h = h.wrapping_mul(0x0000_0100_0000_01b3);
+        }
+        self.0 = h;
+    }
+
+    /// The hash of everything written so far.
+    pub const fn finish(&self) -> u64 {
+        self.0
+    }
+}
+
+impl Default for Fnv1a {
+    fn default() -> Self {
+        Fnv1a::new()
+    }
+}
+
+/// One-shot [`Fnv1a`] over `bytes`.
+pub fn fnv1a_64(bytes: &[u8]) -> u64 {
+    let mut h = Fnv1a::new();
+    h.write(bytes);
+    h.finish()
 }
 
 // ---- decode helpers -------------------------------------------------------
@@ -730,6 +779,20 @@ mod tests {
         let b = Json::parse("{\"a\":{\"y\":2,\"z\":1},\"b\":1}").unwrap();
         assert_eq!(a.canonical(), b.canonical());
         assert_eq!(a.canonical(), "{\"a\":{\"y\":2,\"z\":1},\"b\":1}");
+
+        // Arrays keep their order; of repeated keys the last one wins.
+        let dup = Json::Obj(vec![
+            (
+                "b".to_string(),
+                Json::Arr(vec![Json::from_u64(2), Json::Null]),
+            ),
+            ("a".to_string(), Json::from_u64(1)),
+            ("b".to_string(), Json::Arr(vec![a, Json::Bool(true)])),
+        ]);
+        assert_eq!(
+            dup.canonical(),
+            "{\"a\":1,\"b\":[{\"a\":{\"y\":2,\"z\":1},\"b\":1},true]}"
+        );
     }
 
     #[test]
@@ -746,5 +809,12 @@ mod tests {
         assert_eq!(fnv1a_64(b""), 0xcbf29ce484222325);
         assert_eq!(fnv1a_64(b"a"), 0xaf63dc4c8601ec8c);
         assert_eq!(fnv1a_64(b"foobar"), 0x85944171f73967e8);
+        // Streamed in pieces it hashes exactly like the whole string.
+        let mut h = Fnv1a::new();
+        for piece in [&b"fo"[..], b"", b"oba", b"r"] {
+            h.write(piece);
+        }
+        assert_eq!(h.finish(), 0x85944171f73967e8);
+        assert_eq!(Fnv1a::default().finish(), fnv1a_64(b""));
     }
 }

@@ -12,6 +12,8 @@
 use crate::layer::{LayerSpec, ModelFamily, ModelSpec};
 use crate::zoo;
 use bbs_json::{field, field_arr, field_str, field_usize, Json};
+use std::borrow::Cow;
+use std::sync::OnceLock;
 
 /// Upper bound on decoded layer counts (a zoo model has < 300).
 pub const MAX_LAYERS: usize = 4096;
@@ -88,6 +90,27 @@ pub fn model_spec_to_json(m: &ModelSpec) -> Json {
             Json::Arr(m.layers.iter().map(layer_spec_to_json).collect()),
         ),
     ])
+}
+
+/// The canonical (key-sorted, compact) JSON of a model with its full
+/// layer table: the bytes every content address of a model hashes. A
+/// model equal to a zoo model borrows bytes built once per process; any
+/// other layer table is canonicalized on each call.
+pub fn model_spec_canonical(m: &ModelSpec) -> Cow<'static, str> {
+    static ZOO_BYTES: OnceLock<Vec<(ModelSpec, String)>> = OnceLock::new();
+    let table = ZOO_BYTES.get_or_init(|| {
+        zoo::all()
+            .into_iter()
+            .map(|z| {
+                let bytes = model_spec_to_json(&z).canonical();
+                (z, bytes)
+            })
+            .collect()
+    });
+    match table.iter().find(|(z, _)| z == m) {
+        Some((_, bytes)) => Cow::Borrowed(bytes),
+        None => Cow::Owned(model_spec_to_json(m).canonical()),
+    }
 }
 
 /// Decodes a [`ModelSpec`]. The name must be a zoo model (it resolves to
@@ -173,6 +196,20 @@ mod tests {
         .unwrap();
         let err = layer_spec_from_json(&v).unwrap_err();
         assert!(err.contains("MACs"), "{err}");
+    }
+
+    #[test]
+    fn canonical_bytes_are_memoized_only_for_zoo_models() {
+        for m in zoo::all() {
+            let bytes = model_spec_canonical(&m);
+            assert!(matches!(bytes, Cow::Borrowed(_)), "{}", m.name);
+            assert_eq!(bytes, model_spec_to_json(&m).canonical(), "{}", m.name);
+        }
+        let mut custom = zoo::bert_sst2();
+        custom.layers[0].channels += 1;
+        let bytes = model_spec_canonical(&custom);
+        assert!(matches!(bytes, Cow::Owned(_)));
+        assert_eq!(bytes, model_spec_to_json(&custom).canonical());
     }
 
     #[test]

@@ -287,11 +287,14 @@ impl Coordinator {
     /// failure) arrives. The coordinator holds no result cache of its own
     /// — hits happen on the shard that owns the key — so this never
     /// returns [`Submitted::Hit`] or [`Submitted::Busy`].
-    pub fn submit(&self, request: SimRequest, done: Completion) -> Submitted {
+    ///
+    /// `key` must be `request.key()`; it picks the shard and is checked
+    /// against the key the shard echoes.
+    pub fn submit(&self, request: SimRequest, key: u64, done: Completion) -> Submitted {
+        debug_assert_eq!(key, request.key(), "submit key must be request.key()");
         if self.inner.stopping.load(Ordering::SeqCst) {
             return Submitted::ShuttingDown;
         }
-        let key = request.key();
         let body = request.to_json().to_string();
         match self.inner.route(key, 0) {
             Some(idx) => {

@@ -566,6 +566,7 @@ enum ConnState {
     /// deadline passes.
     Parked {
         request: Box<SimRequest>,
+        key: u64,
         close: bool,
         since: Instant,
     },
@@ -1115,7 +1116,7 @@ impl EventLoop {
             }
             RouteOutcome::Simulate { request, key } => {
                 let completion = sim_completion(&self.done_tx, &self.waker, token, key);
-                match self.shared.submit_job(request, completion) {
+                match self.shared.submit_job(request, key, completion) {
                     Submitted::Hit(bytes) => {
                         self.shared.saturated.store(false, Ordering::SeqCst);
                         let (_, header) = finish_trace(
@@ -1174,6 +1175,7 @@ impl EventLoop {
                             conn.trace = Some(ctx);
                             conn.state = ConnState::Parked {
                                 request: Box::new(request),
+                                key,
                                 close,
                                 since: Instant::now(),
                             };
@@ -1246,7 +1248,7 @@ impl EventLoop {
                     let key = request.key();
                     let completion =
                         sweep_completion(&self.done_tx, &self.waker, token, meta.clone(), key);
-                    match self.shared.submit_job(request, completion) {
+                    match self.shared.submit_job(request, key, completion) {
                         Submitted::Hit(bytes) => {
                             conn.out.extend_from_slice(
                                 result_record(&meta, key, Served::Hit, &bytes).as_bytes(),
@@ -1409,16 +1411,16 @@ impl EventLoop {
             }
             let ConnState::Parked {
                 request,
+                key,
                 close,
                 since,
             } = std::mem::replace(&mut conn.state, ConnState::Ready)
             else {
                 unreachable!()
             };
-            let key = request.key();
             let parked_us = since.elapsed().as_micros() as u64;
             let completion = sim_completion(&self.done_tx, &self.waker, token, key);
-            match self.shared.submit_job(*request, completion) {
+            match self.shared.submit_job(*request, key, completion) {
                 Submitted::Hit(bytes) => {
                     self.shared.saturated.store(false, Ordering::SeqCst);
                     let header = conn.trace.take().map(|mut ctx| {
@@ -1457,6 +1459,7 @@ impl EventLoop {
                     // Still full: back to the front of the line.
                     conn.state = ConnState::Parked {
                         request: Box::new(request),
+                        key,
                         close,
                         since,
                     };

@@ -598,8 +598,11 @@ impl SimService {
     /// rather than consumed: the loop parks it and resubmits when a slot
     /// frees. Racing coalescers that subscribed to the failed flight still
     /// get `Busy` through their callbacks, exactly like the blocking path.
-    pub fn submit(&self, request: SimRequest, done: Completion) -> Submitted {
-        let key = request.key();
+    ///
+    /// `key` must be `request.key()`: callers already hold it (it names
+    /// the response), so it is not hashed a second time here.
+    pub fn submit(&self, request: SimRequest, key: u64, done: Completion) -> Submitted {
+        debug_assert_eq!(key, request.key(), "submit key must be request.key()");
         if let Some(cached) = self.cache.get(key) {
             return Submitted::Hit(cached);
         }

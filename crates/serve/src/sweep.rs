@@ -1,5 +1,5 @@
-//! Batch sweep orchestration: `POST /sweep` decoding and the scheduler
-//! that fans grid cells across the worker pool.
+//! Batch sweep orchestration: `POST /sweep` decoding, the per-connection
+//! cell cursor the event loop drives, and the NDJSON record formats.
 //!
 //! A sweep body is the compact grid schema of
 //! [`bbs_sim::json::sweep_spec_from_json`] — lists of models (zoo names
@@ -15,12 +15,12 @@
 //! (missing/empty axes, malformed seeds, an oversized grid) still reject
 //! the whole request with a 400.
 //!
-//! Cells run through [`crate::service::ServiceHandle::execute`], so each
-//! one rides the exact hit/coalesce/enqueue path of a single `/simulate`
-//! request: duplicate cells across concurrent sweeps coalesce onto one
-//! engine run, results land in (and are served from) the shared
-//! content-addressed cache, and the lowering store amortizes weight
-//! synthesis across the grid's accelerator/config axes.
+//! The event loop submits cells through the same non-blocking path as a
+//! single `/simulate` request (see [`SweepStream`]), so each one rides
+//! the exact hit/coalesce/enqueue path: duplicate cells across concurrent
+//! sweeps coalesce onto one engine run, results land in (and are served
+//! from) the shared content-addressed cache, and the lowering store
+//! amortizes weight synthesis across the grid's accelerator/config axes.
 //!
 //! Results stream back as newline-delimited JSON **in completion order**
 //! (each line carries its `cell` index for reassembly), with a trailing
@@ -29,15 +29,12 @@
 
 use crate::registry;
 use crate::request::{SimRequest, DEFAULT_CAP};
-use crate::service::{ExecuteError, Served, ServiceHandle};
+use crate::service::{ExecuteError, Served};
 use bbs_json::{field_arr, Json};
 use bbs_models::json::model_spec_from_json;
 use bbs_models::{zoo, ModelSpec};
 use bbs_sim::json::array_config_from_json;
 use bbs_sim::ArrayConfig;
-use std::io::Write;
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::mpsc;
 use std::time::Instant;
 
 /// Most cells one sweep may expand to (work-size protection: a sweep is
@@ -286,93 +283,6 @@ pub struct SweepTally {
     pub simulated: usize,
 }
 
-enum CellClass {
-    Ok(Served),
-    Error,
-}
-
-/// Runs the whole plan against the service, streaming one NDJSON record
-/// per cell *in completion order* plus a trailing summary record. Cells
-/// are pulled by `min(workers, cells)` scheduler threads so a sweep can
-/// saturate the worker pool without flooding the bounded queue.
-///
-/// A failing cell (unresolvable axis entry, engine panic, backpressure)
-/// yields an error record, not a dead connection. If the *client* goes
-/// away mid-stream (a write fails), the sweep stops pulling new cells
-/// and returns the write error; cells already executing complete and
-/// stay cached.
-pub fn run_streaming(
-    service: &ServiceHandle,
-    plan: &SweepPlan,
-    out: &mut dyn Write,
-) -> std::io::Result<SweepTally> {
-    let cells = plan.cell_count();
-    let concurrency = service.service().workers().min(cells).max(1);
-    let next = AtomicUsize::new(0);
-    let abort = AtomicBool::new(false);
-    // Bounded: a scheduler thread blocks once a few records are waiting
-    // on the writer, so a slow (or stalled) client holds at most
-    // ~2×concurrency formatted records in memory, not the whole grid.
-    let (tx, rx) = mpsc::sync_channel::<(String, CellClass)>(2 * concurrency);
-
-    let start = Instant::now();
-    let mut tally = SweepTally {
-        cells,
-        ..SweepTally::default()
-    };
-    let mut write_error: Option<std::io::Error> = None;
-    std::thread::scope(|scope| {
-        for _ in 0..concurrency {
-            let tx = tx.clone();
-            let (next, abort) = (&next, &abort);
-            scope.spawn(move || loop {
-                if abort.load(Ordering::Relaxed) {
-                    break;
-                }
-                let i = next.fetch_add(1, Ordering::Relaxed);
-                if i >= cells {
-                    break;
-                }
-                if tx.send(run_cell(service, plan.cell(i))).is_err() {
-                    break;
-                }
-            });
-        }
-        drop(tx);
-
-        // This (connection) thread is the single writer: records go out
-        // the moment they complete, which is what makes the stream useful
-        // for long grids.
-        while let Ok((line, class)) = rx.recv() {
-            match class {
-                CellClass::Ok(served) => {
-                    tally.ok += 1;
-                    match served {
-                        Served::Hit => tally.cache_hits += 1,
-                        Served::Coalesced => tally.coalesced += 1,
-                        Served::Fresh => tally.simulated += 1,
-                    }
-                }
-                CellClass::Error => tally.errors += 1,
-            }
-            if write_error.is_none() {
-                if let Err(e) = out.write_all(line.as_bytes()).and_then(|()| out.flush()) {
-                    abort.store(true, Ordering::Relaxed);
-                    write_error = Some(e);
-                }
-            }
-        }
-    });
-    if let Some(e) = write_error {
-        return Err(e);
-    }
-
-    let wall_ms = start.elapsed().as_secs_f64() * 1e3;
-    out.write_all(summary_record(&tally, wall_ms).as_bytes())?;
-    out.flush()?;
-    Ok(tally)
-}
-
 /// The shared echo prefix of every record for a cell (unterminated — a
 /// result or error tail closes the object).
 fn cell_prefix(meta: &CellMeta) -> String {
@@ -439,9 +349,8 @@ pub fn summary_record(tally: &SweepTally, wall_ms: f64) -> String {
 /// next, how many are in flight, and the running tally. The loop pulls
 /// cells with [`take_next`](Self::take_next) while it has queue budget,
 /// submits them through the service's non-blocking path, and feeds
-/// completions back; record *formatting* goes through the same
-/// [`result_record`]/[`error_record`] helpers as the blocking
-/// [`run_streaming`], so both paths emit byte-identical lines.
+/// completions back; records are formatted by [`result_record`] and
+/// [`error_record`].
 #[derive(Debug)]
 pub struct SweepStream {
     plan: SweepPlan,
@@ -533,23 +442,6 @@ impl SweepStream {
     }
 }
 
-/// Executes one cell and renders its NDJSON line (newline included).
-fn run_cell(service: &ServiceHandle, cell: PlannedCell) -> (String, CellClass) {
-    let meta = cell.meta();
-    let request = match cell.request {
-        Ok(r) => r,
-        Err(message) => return (error_record(&meta, &message), CellClass::Error),
-    };
-    let key = request.key();
-    match service.execute(request) {
-        Ok((result_text, served)) => (
-            result_record(&meta, key, served, &result_text),
-            CellClass::Ok(served),
-        ),
-        Err(e) => (execute_error_record(&meta, &e), CellClass::Error),
-    }
-}
-
 /// A non-empty array field (shape validation — these errors 400 the whole
 /// request, unlike per-entry resolution failures).
 fn non_empty<'a>(v: &'a Json, key: &str) -> Result<&'a [Json], String> {
@@ -563,7 +455,7 @@ fn non_empty<'a>(v: &'a Json, key: &str) -> Result<&'a [Json], String> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::service::{start, ServiceConfig};
+    use crate::service::{start, ServiceConfig, ServiceHandle};
     use bbs_sim::sweep::SweepSpec;
 
     fn parse_plan(body: &str) -> Result<SweepPlan, String> {
@@ -666,6 +558,42 @@ mod tests {
         assert_eq!(plan.cell(0).cap, 8192);
     }
 
+    /// Drives a [`SweepStream`] to completion one cell at a time through
+    /// the service's blocking path, returning the NDJSON text (records
+    /// plus summary) and the final tally.
+    fn drain(service: &ServiceHandle, plan: SweepPlan) -> (String, SweepTally) {
+        let mut stream = SweepStream::new(plan);
+        let mut out = String::new();
+        while let Some(cell) = stream.take_next() {
+            stream.begin_flight();
+            let meta = cell.meta();
+            let line = match cell.request {
+                Err(message) => {
+                    stream.record_error();
+                    error_record(&meta, &message)
+                }
+                Ok(request) => {
+                    let key = request.key();
+                    match service.execute(request) {
+                        Ok((text, served)) => {
+                            stream.record_ok(served);
+                            result_record(&meta, key, served, &text)
+                        }
+                        Err(e) => {
+                            stream.record_error();
+                            execute_error_record(&meta, &e)
+                        }
+                    }
+                }
+            };
+            stream.end_flight();
+            out.push_str(&line);
+        }
+        assert!(stream.is_done());
+        out.push_str(&stream.summary_line());
+        (out, stream.tally())
+    }
+
     #[test]
     fn streaming_run_emits_records_and_summary() {
         let service = start(ServiceConfig {
@@ -676,18 +604,13 @@ mod tests {
             max_cap: 65536,
             ..ServiceConfig::default()
         });
-        let plan = parse_plan(
-            "{\"models\":[\"ViT-Small\",\"NoSuchNet\"],\
-             \"accelerators\":[\"stripes\",\"bitlet\"],\
-             \"max_weights_per_layer\":[128]}",
-        )
-        .unwrap();
-        let mut out = Vec::new();
-        let tally = run_streaming(&service, &plan, &mut out).unwrap();
+        let body = "{\"models\":[\"ViT-Small\",\"NoSuchNet\"],\
+                    \"accelerators\":[\"stripes\",\"bitlet\"],\
+                    \"max_weights_per_layer\":[128]}";
+        let (text, tally) = drain(&service, parse_plan(body).unwrap());
         assert_eq!((tally.cells, tally.ok, tally.errors), (4, 2, 2));
         assert_eq!(tally.simulated, 2);
 
-        let text = String::from_utf8(out).unwrap();
         let lines: Vec<&str> = text.lines().collect();
         assert_eq!(lines.len(), 5, "4 cells + summary: {text}");
         let mut seen = [false; 4];
@@ -710,8 +633,7 @@ mod tests {
         assert_eq!(summary.get("errors").unwrap().as_usize(), Some(2));
 
         // Re-running the same plan is all cache hits.
-        let mut out = Vec::new();
-        let tally = run_streaming(&service, &plan, &mut out).unwrap();
+        let (_, tally) = drain(&service, parse_plan(body).unwrap());
         assert_eq!(tally.cache_hits, 2, "warm sweep served from cache");
         assert_eq!(service.service().sim_runs(), 2);
         service.stop();

@@ -380,8 +380,10 @@ fn concurrent_duplicate_sweeps_coalesce() {
 }
 
 /// Partial failure: an unknown model mid-grid yields error records for
-/// exactly its cells while the rest of the grid still simulates, and
-/// shape errors reject the whole sweep with a 400.
+/// exactly its cells while the rest of the grid still simulates, every
+/// cell streams exactly once before the summary, a warm re-run serves
+/// every good cell from the cache, and shape errors reject the whole
+/// sweep with a 400.
 #[test]
 fn sweep_error_records_and_shape_rejection() {
     let server = test_server();
@@ -390,8 +392,10 @@ fn sweep_error_records_and_shape_rejection() {
                 \"max_weights_per_layer\":[128]}";
     let (cells, summary) = run_sweep(server.addr(), body);
     assert_eq!(cells.len(), 6);
+    assert_eq!(summary.get("cells").unwrap().as_usize(), Some(6));
     assert_eq!(summary.get("ok").unwrap().as_usize(), Some(4));
     assert_eq!(summary.get("errors").unwrap().as_usize(), Some(2));
+    assert_eq!(summary.get("simulated").unwrap().as_usize(), Some(4));
     for (i, cell) in cells.iter().enumerate() {
         let is_poisoned = i / 2 == 1; // model axis entry 1 is unknown
         assert_eq!(cell.get("error").is_some(), is_poisoned, "cell {i}");
@@ -401,8 +405,20 @@ fn sweep_error_records_and_shape_rejection() {
             assert_eq!(cell.get("model").unwrap().as_str(), Some("NoSuchNet"));
         } else {
             assert!(cell.get("result").is_some(), "cell {i}");
+            assert!(cell.get("key").is_some(), "cell {i}");
         }
     }
+
+    // Re-running the same grid: the good cells are all cache hits, the
+    // poisoned ones error again, and nothing new is simulated.
+    let (warm_cells, warm_summary) = run_sweep(server.addr(), body);
+    assert_eq!(warm_cells.len(), 6);
+    assert_eq!(warm_summary.get("cache_hits").unwrap().as_usize(), Some(4));
+    assert_eq!(warm_summary.get("errors").unwrap().as_usize(), Some(2));
+    let mut client = Client::connect(server.addr()).unwrap();
+    let (_, stats_body) = client.get("/stats").unwrap();
+    let stats = Json::parse(&stats_body).unwrap();
+    assert_eq!(stat(&stats, "sim_runs"), 4, "warm sweep re-simulated");
 
     // Shape errors are a 400 with a JSON error body, not a stream.
     let client = Client::connect(server.addr()).unwrap();

@@ -17,8 +17,8 @@ use bbs_hw::json::{
     dram_from_json, dram_to_json, energy_breakdown_from_json, energy_breakdown_to_json,
     sram_from_json, sram_to_json, technology_from_json, technology_to_json,
 };
-use bbs_json::{field, field_arr, field_f64, field_str, field_u64, field_usize, fnv1a_64, Json};
-use bbs_models::json::{model_spec_from_json, model_spec_to_json};
+use bbs_json::{field, field_arr, field_f64, field_str, field_u64, field_usize, Fnv1a, Json};
+use bbs_models::json::{model_spec_canonical, model_spec_from_json, model_spec_to_json};
 use bbs_models::{zoo, ModelSpec};
 
 /// Encodes an [`ArrayConfig`].
@@ -143,6 +143,13 @@ pub fn sim_result_from_json(v: &Json) -> Result<SimResult, String> {
 ///
 /// Two requests hash equal iff every quantity the simulation depends on is
 /// equal, so a cache hit may be served without re-running the engine.
+///
+/// The hashed bytes are exactly `Json::canonical` of the object with keys
+/// `accelerator`, `config`, `max_weights_per_layer`, `model` and `seed`,
+/// streamed in that (sorted) order: the small fields are canonicalized
+/// here, while the model bytes come from [`model_spec_canonical`], which
+/// memoizes them for zoo models. The cost is one pass of FNV over the
+/// model bytes, not a re-encoding of its layer table.
 pub fn sim_request_key(
     model: &ModelSpec,
     accelerator: &str,
@@ -150,18 +157,24 @@ pub fn sim_request_key(
     seed: u64,
     max_weights_per_layer: usize,
 ) -> u64 {
-    let canon = Json::obj(vec![
-        ("model", model_spec_to_json(model)),
+    let head = Json::obj(vec![
         ("accelerator", Json::str(accelerator)),
         ("config", array_config_to_json(cfg)),
-        ("seed", Json::from_u64(seed)),
         (
             "max_weights_per_layer",
             Json::from_usize(max_weights_per_layer),
         ),
     ])
     .canonical();
-    fnv1a_64(canon.as_bytes())
+    let mut h = Fnv1a::new();
+    // The head's closing brace is replaced by the remaining two fields.
+    h.write(&head.as_bytes()[..head.len() - 1]);
+    h.write(b",\"model\":");
+    h.write(model_spec_canonical(model).as_bytes());
+    h.write(b",\"seed\":");
+    h.write(Json::from_u64(seed).to_string().as_bytes());
+    h.write(b"}");
+    h.finish()
 }
 
 /// Encodes a [`SweepSpec`] as the `/sweep` wire grid: models carry their
@@ -390,5 +403,57 @@ mod tests {
             k,
             sim_request_key(&other, "bitvert-moderate", &cfg, 7, 4096)
         );
+    }
+
+    /// Keys address disk-tier records, place cells on shards and name
+    /// sweep cells, so their values must never move. These were recorded
+    /// before keys were streamed over memoized model bytes.
+    #[test]
+    fn request_keys_match_recorded_vectors() {
+        let cfg = ArrayConfig::paper_16x32();
+        let model = |name| zoo::by_name(name).unwrap();
+        let mut vit_head = model("ViT-Small");
+        vit_head.layers.truncate(2);
+        for (m, accelerator, cfg, seed, cap, want) in [
+            (
+                model("ResNet-34"),
+                "bitvert-moderate",
+                cfg.clone(),
+                7,
+                4096,
+                0x7aa6_b788_9bea_32ac,
+            ),
+            (
+                model("Llama-3-8B"),
+                "stripes",
+                cfg.clone(),
+                3,
+                256,
+                0xf4f6_42ee_14ee_157f,
+            ),
+            (
+                model("Bert-SST2"),
+                "bitlet",
+                cfg.clone().with_pe_cols(8),
+                bbs_json::MAX_SAFE_INT - 1,
+                65536,
+                0xa718_7042_7ee1_6bc4,
+            ),
+            (
+                vit_head,
+                "stripes",
+                cfg.clone(),
+                7,
+                128,
+                0xf3b7_424c_7e24_fa93,
+            ),
+        ] {
+            assert_eq!(
+                sim_request_key(&m, accelerator, &cfg, seed, cap),
+                want,
+                "{} / {accelerator}",
+                m.name
+            );
+        }
     }
 }

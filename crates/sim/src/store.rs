@@ -25,7 +25,7 @@
 use crate::trace::{NoopRecorder, Recorder, Stage};
 use crate::workload::{lower_model, LayerWorkload};
 use bbs_json::fnv1a_64;
-use bbs_models::json::model_spec_to_json;
+use bbs_models::json::model_spec_canonical;
 use bbs_models::ModelSpec;
 use std::collections::{HashMap, VecDeque};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -101,11 +101,11 @@ impl Default for WorkloadStore {
     }
 }
 
-/// Stable content address of a model's full layer table (FNV-1a over the
-/// canonical model-spec JSON — the same canonicalization the `bbs-serve`
-/// result cache keys on).
+/// Stable content address of a model's full layer table (FNV-1a over
+/// [`model_spec_canonical`] — the same bytes the `bbs-serve` result
+/// cache keys on).
 pub fn model_fingerprint(model: &ModelSpec) -> u64 {
-    fnv1a_64(model_spec_to_json(model).canonical().as_bytes())
+    fnv1a_64(model_spec_canonical(model).as_bytes())
 }
 
 /// Approximate heap footprint of one lowered layer: weights, activations,

@@ -1,20 +1,63 @@
 //! Property tests for the simulator: the functional BitVert datapath is
 //! exact for every encodable group, the scheduling machinery respects its
 //! invariants, the flat-profile scheduler is bit-identical to the retained
-//! nested reference, and store-cached lowering is bit-identical to fresh
-//! lowering.
+//! nested reference, store-cached lowering is bit-identical to fresh
+//! lowering, and request keys equal the tree-canonical oracle.
 
 use bbs_core::averaging::rounded_averaging;
 use bbs_core::shifting::zero_point_shifting;
-use bbs_models::zoo;
+use bbs_json::{fnv1a_64, Json, MAX_SAFE_INT};
+use bbs_models::json::model_spec_to_json;
+use bbs_models::{zoo, ModelSpec};
 use bbs_sim::accel::reference::{wave_schedule_nested, NestedProfile};
 use bbs_sim::accel::{wave_schedule_with, LatencyProfile, SyncGranularity};
 use bbs_sim::bitvert_func::pe::group_dot;
 use bbs_sim::bitvert_func::scheduler::subgroup_partial_sum;
+use bbs_sim::json::{array_config_to_json, sim_request_key};
 use bbs_sim::store::WorkloadStore;
 use bbs_sim::workload::lower_model;
+use bbs_sim::ArrayConfig;
 use proptest::collection::vec;
 use proptest::prelude::*;
+use std::collections::BTreeMap;
+
+/// Request keys as first defined: the whole request built as one JSON
+/// tree, every object re-sorted through a `BTreeMap` of cloned values,
+/// serialized and hashed in one piece. The production key streams the
+/// same bytes from parts and must equal this on every input.
+fn oracle_request_key(
+    model: &ModelSpec,
+    accelerator: &str,
+    cfg: &ArrayConfig,
+    seed: u64,
+    cap: usize,
+) -> u64 {
+    fn sort(v: &Json) -> Json {
+        match v {
+            Json::Obj(pairs) => {
+                let sorted: BTreeMap<String, Json> =
+                    pairs.iter().map(|(k, v)| (k.clone(), sort(v))).collect();
+                Json::Obj(sorted.into_iter().collect())
+            }
+            Json::Arr(items) => Json::Arr(items.iter().map(sort).collect()),
+            other => other.clone(),
+        }
+    }
+    let tree = Json::obj(vec![
+        ("model", model_spec_to_json(model)),
+        ("accelerator", Json::str(accelerator)),
+        ("config", array_config_to_json(cfg)),
+        ("seed", Json::from_u64(seed)),
+        ("max_weights_per_layer", Json::from_usize(cap)),
+    ]);
+    fnv1a_64(sort(&tree).to_string().as_bytes())
+}
+
+/// Accelerator names, including ones that need escaping.
+const KEY_ACCELERATORS: [&str; 4] = ["stripes", "bitlet", "bitvert-moderate", "quo\"te\\é"];
+/// Layer names a custom table may carry: quotes, backslashes, non-ASCII,
+/// control characters and the empty string.
+const KEY_LAYER_NAMES: [&str; 5] = ["q\"k\"v", "back\\slash", "café é", "tab\tnl\n\u{1}", ""];
 
 proptest! {
     #[test]
@@ -155,6 +198,54 @@ proptest! {
         let again = store.get_or_lower(&model, seed, cap);
         prop_assert!(std::sync::Arc::ptr_eq(&cached, &again));
         prop_assert_eq!((store.misses(), store.hits()), (1, 1));
+    }
+}
+
+proptest! {
+    /// The streamed request key equals the tree-canonical oracle for every
+    /// zoo model (whose bytes are memoized) and for custom layer tables
+    /// derived from it by truncation, a changed dimension or a renamed
+    /// layer (which are canonicalized per call).
+    #[test]
+    fn request_key_matches_tree_canonical_oracle(
+        model_idx in 0..zoo::names().len(),
+        (edit, at, delta, name) in (0usize..4, any::<usize>(), 1usize..=1000, 0..KEY_LAYER_NAMES.len()),
+        accel in 0..KEY_ACCELERATORS.len(),
+        pe_cols in 1usize..=64,
+        seed in prop_oneof![0u64..=16, 0..=MAX_SAFE_INT - 1, Just(MAX_SAFE_INT - 1)],
+        cap in 1usize..=65536,
+    ) {
+        let model = zoo::all().swap_remove(model_idx);
+        let mut custom = model.clone();
+        let at = at % custom.layers.len();
+        match edit {
+            0 => custom.layers.truncate(at + 1),
+            1 => {
+                let layer = &mut custom.layers[at];
+                match delta % 4 {
+                    0 => layer.channels += delta,
+                    1 => layer.elems_per_channel += delta,
+                    2 => layer.positions += delta,
+                    _ => layer.unique_input_elems += delta,
+                }
+            }
+            2 => custom.layers[at].name = KEY_LAYER_NAMES[name].to_string(),
+            _ => custom.layers.rotate_left(at),
+        }
+        let accelerator = KEY_ACCELERATORS[accel];
+        let cfg = ArrayConfig::paper_16x32().with_pe_cols(pe_cols);
+        for m in [&model, &custom] {
+            prop_assert_eq!(
+                sim_request_key(m, accelerator, &cfg, seed, cap),
+                oracle_request_key(m, accelerator, &cfg, seed, cap),
+                "{} ({} layers) / {} / seed {} / cap {}",
+                m.name,
+                m.layers.len(),
+                accelerator,
+                seed,
+                cap
+            );
+        }
     }
 }
 
