@@ -2,7 +2,7 @@
 //! weight cap so `cargo bench` exercises every experiment path quickly.
 //! The full-resolution runs are the `figXX_*`/`tabXX_*` binaries.
 
-use bbs_models::accuracy::{evaluate_model_fidelity, CompressionMethod};
+use bbs_models::accuracy::{CompressionMethod, SynthModel};
 use bbs_models::zoo;
 use bbs_sim::accel::{bitvert::BitVert, stripes::Stripes};
 use bbs_sim::config::ArrayConfig;
@@ -27,15 +27,12 @@ fn fig06_kl(c: &mut Criterion) {
 
 fn fig11_accuracy(c: &mut Criterion) {
     let model = zoo::vit_small();
+    c.bench_function("fig11/synth_model", |b| {
+        b.iter(|| SynthModel::new(black_box(&model), 7, CAP))
+    });
+    let synth = SynthModel::new(&model, 7, CAP);
     c.bench_function("fig11/fidelity_bbs_mod", |b| {
-        b.iter(|| {
-            evaluate_model_fidelity(
-                black_box(&model),
-                &CompressionMethod::bbs_moderate(),
-                7,
-                CAP,
-            )
-        })
+        b.iter(|| black_box(&synth).fidelity(&CompressionMethod::bbs_moderate()))
     });
 }
 
@@ -82,19 +79,17 @@ fn fig16_pareto(c: &mut Criterion) {
 }
 
 fn fig17_llm(c: &mut Criterion) {
-    use bbs_models::lm::{llama_subset, measure_lm_perplexity};
-    c.bench_function("fig17/micro_lm_perplexity", |b| {
-        b.iter(|| measure_lm_perplexity(&CompressionMethod::int8_baseline(), 41))
+    use bbs_models::lm::{llama_subset, TrainedLm};
+    c.bench_function("fig17/micro_lm_train", |b| b.iter(|| TrainedLm::new(41)));
+    let lm = TrainedLm::new(41);
+    c.bench_function("fig17/micro_lm_measure", |b| {
+        b.iter(|| black_box(&lm).perplexity(&CompressionMethod::bbs_moderate()))
     });
     let llama = llama_subset(1);
     c.bench_function("fig17/llama_block_fidelity", |b| {
         b.iter(|| {
-            evaluate_model_fidelity(
-                black_box(&llama),
-                &CompressionMethod::bbs_moderate(),
-                7,
-                CAP * 8,
-            )
+            SynthModel::new(black_box(&llama), 7, CAP * 8)
+                .fidelity(&CompressionMethod::bbs_moderate())
         })
     });
 }
@@ -106,7 +101,7 @@ fn tables(c: &mut Criterion) {
     c.bench_function("tab01/model_zoo", |b| b.iter(zoo::paper_benchmarks));
     c.bench_function("tab02_tab03/fidelity", |b| {
         let model = zoo::vit_small();
-        b.iter(|| evaluate_model_fidelity(&model, &CompressionMethod::ant6(), 7, CAP))
+        b.iter(|| SynthModel::new(&model, 7, CAP).fidelity(&CompressionMethod::ant6()))
     });
     c.bench_function("tab04/design_space", |b| {
         b.iter(|| bitvert_design_space(&t))

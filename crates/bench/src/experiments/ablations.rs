@@ -11,7 +11,7 @@ use bbs_core::averaging::rounded_averaging;
 use bbs_core::global::GlobalPruneConfig;
 use bbs_core::prune::{BinaryPruner, PruneStrategy};
 use bbs_core::shifting::zero_point_shifting;
-use bbs_models::accuracy::{evaluate_model_fidelity, CompressionKind, CompressionMethod};
+use bbs_models::accuracy::{CompressionKind, CompressionMethod, SynthModel};
 use bbs_models::synth::synthesize_weights_sampled;
 use bbs_models::zoo;
 use bbs_sim::accel::bitvert::BitVert;
@@ -62,6 +62,7 @@ pub fn group_size() {
 /// trade).
 pub fn beta_sweep() {
     let model = zoo::vit_small();
+    let synth = SynthModel::new(&model, SEED, weight_cap() / 2);
     let mut rows = Vec::new();
     for &beta in &[0.0f64, 0.05, 0.10, 0.20, 0.40] {
         let method = CompressionMethod {
@@ -71,7 +72,7 @@ pub fn beta_sweep() {
                 beta,
             )
         };
-        let fit = evaluate_model_fidelity(&model, &method, SEED, weight_cap() / 2);
+        let fit = synth.fidelity(&method);
         let cfg = GlobalPruneConfig {
             beta,
             ..GlobalPruneConfig::moderate()

@@ -6,8 +6,8 @@
 
 use crate::{f, print_table, weight_cap, SEED};
 use bbs_core::prune::PruneStrategy;
-use bbs_models::accuracy::{evaluate_model_fidelity, CompressionKind, CompressionMethod};
-use bbs_models::lm::{llama_subset, measure_lm_perplexity};
+use bbs_models::accuracy::{CompressionKind, CompressionMethod, SynthModel};
+use bbs_models::lm::{llama_subset, TrainedLm};
 
 /// The Fig. 17 method set (β = 0: all channels compressed, §V-H).
 pub fn methods() -> Vec<(&'static str, CompressionMethod)> {
@@ -36,23 +36,35 @@ pub fn methods() -> Vec<(&'static str, CompressionMethod)> {
 
 /// Regenerates Fig. 17.
 pub fn run() {
-    // Leg 1: real perplexity on the micro LM, two corpora.
+    // Leg 1: real perplexity on the micro LM, two corpora. Each seed's LM
+    // is trained once and measured under every method; only one is alive
+    // at a time.
     let corpora = [("wikitext-like", 41u64), ("c4-like", 71u64)];
-    let mut rows = Vec::new();
-    for (name, method) in methods() {
-        let mut row = vec![name.to_string()];
-        for &(_, corpus_seed) in &corpora {
-            let mut fp32 = 0.0;
-            let mut comp = 0.0;
-            for s in 0..3u64 {
-                let p = measure_lm_perplexity(&method, corpus_seed + s);
-                fp32 += p.fp32;
-                comp += p.compressed;
+    let methods = methods();
+    let mut fp32 = [0.0f64; 2];
+    let mut comp = vec![[0.0f64; 2]; methods.len()];
+    for (ci, &(_, corpus_seed)) in corpora.iter().enumerate() {
+        for s in 0..3u64 {
+            let lm = TrainedLm::new(corpus_seed + s);
+            fp32[ci] += lm.fp32();
+            for (mi, (_, method)) in methods.iter().enumerate() {
+                comp[mi][ci] += lm.perplexity(method).compressed;
             }
-            row.push(format!("{} (fp32 {})", f(comp / 3.0, 3), f(fp32 / 3.0, 3)));
         }
-        rows.push(row);
     }
+    let rows: Vec<Vec<String>> = methods
+        .iter()
+        .zip(&comp)
+        .map(|((name, _), comp)| {
+            let mut row = vec![name.to_string()];
+            row.extend(
+                comp.iter()
+                    .zip(&fp32)
+                    .map(|(c, p)| format!("{} (fp32 {})", f(c / 3.0, 3), f(p / 3.0, 3))),
+            );
+            row
+        })
+        .collect();
     print_table(
         "Fig. 17 (measured) — micro-LM perplexity after weight compression, 3-seed average (paper: BBS-mod beats Olive at similar footprint; BBS-cons ~ lossless)",
         &["method", "wikitext-like ppl", "c4-like ppl"],
@@ -60,12 +72,12 @@ pub fn run() {
     );
 
     // Leg 2: Llama-3-8B-shaped fidelity (first 4 decoder blocks sampled).
-    let llama = llama_subset(4);
-    let rows: Vec<Vec<String>> = methods()
-        .into_iter()
+    let llama = SynthModel::new(&llama_subset(4), SEED, weight_cap());
+    let rows: Vec<Vec<String>> = methods
+        .iter()
         .skip(1) // INT8 baseline is exact by construction
         .map(|(name, method)| {
-            let fit = evaluate_model_fidelity(&llama, &method, SEED, weight_cap());
+            let fit = llama.fidelity(method);
             vec![
                 name.to_string(),
                 f(fit.effective_bits, 2),

@@ -6,8 +6,8 @@
 //! PTQ is accuracy-neutral).
 
 use crate::{f, print_table};
-use bbs_models::accuracy::{measure_real_accuracy, CompressionMethod};
-use bbs_models::lm::measure_lm_perplexity;
+use bbs_models::accuracy::TrainedMlp;
+use bbs_models::lm::TrainedLm;
 use bbs_models::zoo;
 
 /// Regenerates Table I.
@@ -35,11 +35,11 @@ pub fn run() {
     let mut int8 = 0.0;
     let seeds = [21u64, 22, 23];
     for &s in &seeds {
-        let acc = measure_real_accuracy(&CompressionMethod::int8_baseline(), s);
-        fp32 += acc.fp32;
-        int8 += acc.int8;
+        let mlp = TrainedMlp::new(s);
+        fp32 += mlp.fp32();
+        int8 += mlp.int8();
     }
-    let lm = measure_lm_perplexity(&CompressionMethod::int8_baseline(), 41);
+    let lm = TrainedLm::new(41);
     print_table(
         "Table I (measured) — FP32 vs INT8 baselines (paper: INT8 loss negligible)",
         &["substrate", "FP32", "INT8"],
@@ -51,8 +51,8 @@ pub fn run() {
             ],
             vec![
                 "micro-LM perplexity".to_string(),
-                f(lm.fp32, 3),
-                f(lm.int8, 3),
+                f(lm.fp32(), 3),
+                f(lm.int8(), 3),
             ],
         ],
     );

@@ -2,20 +2,16 @@
 //! effective weight bit width, without fine-tuning.
 
 use crate::{f, print_table, weight_cap, SEED};
-use bbs_models::accuracy::{evaluate_model_fidelity, CompressionMethod};
+use bbs_models::accuracy::{CompressionMethod, SynthModel};
 use bbs_models::zoo;
 
 /// Regenerates Table II.
 pub fn run() {
     let mut rows = Vec::new();
     for model in [zoo::vgg16(), zoo::resnet50()] {
-        let bbs = evaluate_model_fidelity(
-            &model,
-            &CompressionMethod::bbs_moderate(),
-            SEED,
-            weight_cap(),
-        );
-        let ant = evaluate_model_fidelity(&model, &CompressionMethod::ant6(), SEED, weight_cap());
+        let synth = SynthModel::new(&model, SEED, weight_cap());
+        let bbs = synth.fidelity(&CompressionMethod::bbs_moderate());
+        let ant = synth.fidelity(&CompressionMethod::ant6());
         rows.push(vec![
             model.name.to_string(),
             format!(

@@ -2,7 +2,7 @@
 //! accuracy loss and effective weight bit width.
 
 use crate::{f, print_table, weight_cap, SEED};
-use bbs_models::accuracy::{evaluate_model_fidelity, CompressionKind, CompressionMethod};
+use bbs_models::accuracy::{CompressionKind, CompressionMethod, SynthModel};
 use bbs_models::zoo;
 
 /// Regenerates Table III.
@@ -19,18 +19,21 @@ pub fn run() {
         ("BBS (cons)", CompressionMethod::bbs_conservative()),
         ("BBS (mod)", CompressionMethod::bbs_moderate()),
     ];
-    let mut rows = Vec::new();
-    for (name, method) in &methods {
-        let mut row = vec![name.to_string()];
-        for model in [zoo::vit_small(), zoo::vit_base()] {
-            let fit = evaluate_model_fidelity(&model, method, SEED, weight_cap());
+    let mut rows: Vec<Vec<String>> = methods
+        .iter()
+        .map(|(name, _)| vec![name.to_string()])
+        .collect();
+    // One model synthesized at a time, measured under every method.
+    for model in [zoo::vit_small(), zoo::vit_base()] {
+        let synth = SynthModel::new(&model, SEED, weight_cap());
+        for (row, (_, method)) in rows.iter_mut().zip(&methods) {
+            let fit = synth.fidelity(method);
             row.push(format!(
                 "{}% ({} bits)",
                 f(fit.est_accuracy_loss_pct, 2),
                 f(fit.effective_bits, 2)
             ));
         }
-        rows.push(row);
     }
     rows.push(vec![
         "paper".to_string(),

@@ -17,6 +17,7 @@
 //! ```
 
 use std::process::Command;
+use std::time::Instant;
 
 const GOLDEN: &str = concat!(
     env!("CARGO_MANIFEST_DIR"),
@@ -45,11 +46,13 @@ fn first_divergence(expected: &str, actual: &str) -> String {
 fn repro_small_cap_stdout_is_byte_identical_to_golden() {
     let golden = std::fs::read_to_string(GOLDEN)
         .unwrap_or_else(|e| panic!("missing golden transcript {GOLDEN}: {e}"));
+    let started = Instant::now();
     let out = Command::new(env!("CARGO_BIN_EXE_repro"))
         .env("BBS_CAP", "256")
         .env_remove("RAYON_NUM_THREADS") // bit-identical regardless, but pin the default
         .output()
         .expect("run repro binary");
+    let wall = started.elapsed();
     assert!(
         out.status.success(),
         "repro exited with {:?}: {}",
@@ -63,5 +66,11 @@ fn repro_small_cap_stdout_is_byte_identical_to_golden() {
          If the change is intentional, regenerate with:\n  \
          BBS_CAP=256 cargo run --release --bin repro > tests/golden/repro_cap256.txt",
         first_divergence(&golden, &actual)
+    );
+    // Printed after the comparison, so a CI log run with `--nocapture`
+    // records the repro wall-clock of every passing build.
+    eprintln!(
+        "repro (BBS_CAP=256) wall-clock: {:.2} s",
+        wall.as_secs_f64()
     );
 }

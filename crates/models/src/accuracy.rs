@@ -3,17 +3,20 @@
 //!
 //! Two complementary measurements:
 //!
-//! 1. **Real accuracy** ([`measure_real_accuracy`]): a small MLP trained
-//!    from scratch is compressed with each method and re-evaluated — the
+//! 1. **Real accuracy** ([`TrainedMlp`]): a small MLP trained from
+//!    scratch is compressed with each method and re-evaluated — the
 //!    accuracy drop is genuinely measured, not modelled.
-//! 2. **Fidelity on the paper's model shapes**
-//!    ([`evaluate_model_fidelity`]): weight KL/MSE plus layer-output SQNR
-//!    on synthetic activations, mapped to an *estimated* accuracy loss by a
-//!    documented monotone model ([`estimate_accuracy_loss_pct`]).
+//! 2. **Fidelity on the paper's model shapes** ([`SynthModel`]): weight
+//!    KL/MSE plus layer-output SQNR on synthetic activations, mapped to an
+//!    *estimated* accuracy loss by a documented monotone model
+//!    ([`estimate_accuracy_loss_pct`]).
+//!
+//! Every method is applied after training, so each trains or synthesizes
+//! its input once and then measures any number of methods against it.
 
-use crate::layer::{ModelFamily, ModelSpec};
+use crate::layer::ModelSpec;
 use crate::synth::{synthesize_activations, synthesize_weights_sampled, SynthLayer};
-use crate::trainer::Mlp;
+use crate::trainer::{gaussian_blobs, Dataset, Mlp};
 use bbs_core::global::select_sensitive_channels;
 use bbs_core::prune::{BinaryPruner, PruneStrategy};
 use bbs_core::zero_col::sign_magnitude_zero_column;
@@ -308,7 +311,7 @@ pub struct ModelFidelity {
 /// once against the paper's reported pairs (BBS-cons ≈ 0.25%, BBS-mod ≈
 /// 0.45%, BitWave-mod ≳ 1%) and then reused unchanged for every method and
 /// model. The honest, unmodelled accuracy numbers come from
-/// [`measure_real_accuracy`].
+/// [`TrainedMlp`].
 pub fn estimate_accuracy_loss_pct(kl_divergence: f64, output_sqnr_db: f64) -> f64 {
     const ALPHA: f64 = 0.007;
     const BETA: f64 = 0.14;
@@ -316,107 +319,139 @@ pub fn estimate_accuracy_loss_pct(kl_divergence: f64, output_sqnr_db: f64) -> f6
     (100.0 * (ALPHA * kl_divergence + BETA * eps)).min(60.0)
 }
 
-/// Evaluates a compression method over a model's (sampled) layers.
-///
-/// `max_weights_per_layer` caps the synthesized fan-in (see
-/// [`synthesize_weights_sampled`]); compression statistics are unaffected
-/// because groups never span channels.
-pub fn evaluate_model_fidelity(
-    model: &ModelSpec,
-    method: &CompressionMethod,
-    seed: u64,
-    max_weights_per_layer: usize,
-) -> ModelFidelity {
-    let layers: Vec<SynthLayer> = model
-        .layers
-        .iter()
-        .enumerate()
-        .map(|(i, spec)| {
-            synthesize_weights_sampled(
+/// A model's synthesized INT8 weights plus everything fidelity evaluation
+/// needs that does not depend on the compression method: build it once,
+/// then call [`SynthModel::fidelity`] for every method.
+#[derive(Debug, Clone)]
+pub struct SynthModel {
+    name: &'static str,
+    /// Per-layer channel scales (the input to Algorithm 2's masks).
+    scales: Vec<Vec<f32>>,
+    /// Sampled elements per channel, per layer.
+    epc: Vec<usize>,
+    /// Every layer's codes concatenated, channel-major, in layer order.
+    codes: Vec<i8>,
+    /// Layer-output probes on a few spread-out layers.
+    probes: Vec<SqnrProbe>,
+}
+
+/// One layer's synthetic activations and its original outputs on them.
+#[derive(Debug, Clone)]
+struct SqnrProbe {
+    layer: usize,
+    /// Offset of the layer's first code in `SynthModel::codes`.
+    start: usize,
+    x: Vec<i8>,
+    y_orig: Vec<f32>,
+}
+
+impl SynthModel {
+    /// Synthesizes a model's (sampled) layers and its output probes.
+    ///
+    /// `max_weights_per_layer` caps the synthesized fan-in (see
+    /// [`synthesize_weights_sampled`]); compression statistics are
+    /// unaffected because groups never span channels.
+    pub fn new(model: &ModelSpec, seed: u64, max_weights_per_layer: usize) -> Self {
+        let mut synth = SynthModel {
+            name: model.name,
+            scales: Vec::with_capacity(model.layers.len()),
+            epc: Vec::with_capacity(model.layers.len()),
+            codes: Vec::new(),
+            probes: Vec::new(),
+        };
+        for (li, spec) in model.layers.iter().enumerate() {
+            let SynthLayer { weights: qt, .. } = synthesize_weights_sampled(
                 spec,
                 model.family,
-                seed.wrapping_add(i as u64),
+                seed.wrapping_add(li as u64),
                 max_weights_per_layer,
-            )
-        })
-        .collect();
-
-    // Global sensitivity masks over the whole model (Algorithm 2).
-    let scales: Vec<Vec<f32>> = layers.iter().map(|l| l.weights.scales.clone()).collect();
-    let masks = select_sensitive_channels(&scales, method.beta, method.ch);
-
-    let mut orig_all: Vec<i8> = Vec::new();
-    let mut recon_all: Vec<i32> = Vec::new();
-    let mut stored_bits = 0usize;
-    let mut sqnr_acc = 0.0;
-    let mut sqnr_layers = 0usize;
-
-    for (li, layer) in layers.iter().enumerate() {
-        let qt = &layer.weights;
-        let mut layer_recon: Vec<Vec<i32>> = Vec::with_capacity(qt.channels());
-        for c in 0..qt.channels() {
-            let w = qt.channel(c);
-            if masks[li][c] {
-                layer_recon.push(w.iter().map(|&x| x as i32).collect());
-                stored_bits += w.len() * 8;
-            } else {
-                let (recon, bits) = compress_channel(method, w);
-                layer_recon.push(recon);
-                stored_bits += bits;
+            );
+            let start = synth.codes.len();
+            // Layer-output fidelity on a few spread-out layers.
+            if li % (model.layers.len() / 6 + 1) == 0 {
+                let x =
+                    synthesize_activations(qt.elems_per_channel(), model.family, seed ^ li as u64);
+                let y_orig = (0..qt.channels())
+                    .map(|c| dot(qt.channel(c), &x) as f32 * qt.scales[c])
+                    .collect();
+                synth.probes.push(SqnrProbe {
+                    layer: li,
+                    start,
+                    x,
+                    y_orig,
+                });
             }
-            orig_all.extend_from_slice(w);
-            recon_all.extend_from_slice(&layer_recon[c]);
+            synth.codes.extend_from_slice(qt.data.as_slice());
+            synth.epc.push(qt.elems_per_channel());
+            synth.scales.push(qt.scales);
         }
-
-        // Layer-output fidelity on a few spread-out layers.
-        if li % (model.layers.len() / 6 + 1) == 0 {
-            sqnr_acc += layer_output_sqnr(qt, &layer_recon, model.family, seed ^ li as u64);
-            sqnr_layers += 1;
-        }
+        synth
     }
 
-    // Coarse-binned KL: measures level collapse without being dominated by
-    // sub-bin rounding combs (see `kl_divergence_i8_binned`).
-    let kl = metrics::kl_divergence_i8_binned(&orig_all, &recon_all, 4);
-    let mse = metrics::mse_i8(&orig_all, &recon_all);
-    let original_bits = orig_all.len() * 8;
-    let sqnr = sqnr_acc / sqnr_layers.max(1) as f64;
+    /// Evaluates a compression method on the synthesized weights.
+    pub fn fidelity(&self, method: &CompressionMethod) -> ModelFidelity {
+        // Global sensitivity masks over the whole model (Algorithm 2).
+        let masks = select_sensitive_channels(&self.scales, method.beta, method.ch);
 
-    ModelFidelity {
-        model: model.name.to_string(),
-        method: method.to_string(),
-        kl_divergence: kl,
-        mse,
-        effective_bits: stored_bits as f64 / orig_all.len() as f64,
-        compression_ratio: original_bits as f64 / stored_bits as f64,
-        output_sqnr_db: sqnr,
-        est_accuracy_loss_pct: estimate_accuracy_loss_pct(kl, sqnr),
+        let mut recon: Vec<i32> = Vec::with_capacity(self.codes.len());
+        let mut stored_bits = 0usize;
+        let mut rest = self.codes.as_slice();
+        for (mask, &epc) in masks.iter().zip(&self.epc) {
+            let (layer, tail) = rest.split_at(mask.len() * epc);
+            rest = tail;
+            for (w, &sensitive) in layer.chunks_exact(epc).zip(mask) {
+                if sensitive {
+                    recon.extend(w.iter().map(|&x| x as i32));
+                    stored_bits += w.len() * 8;
+                } else {
+                    let (r, bits) = compress_channel(method, w);
+                    recon.extend(r);
+                    stored_bits += bits;
+                }
+            }
+        }
+
+        let sqnr_acc: f64 = self
+            .probes
+            .iter()
+            .map(|p| {
+                let scales = &self.scales[p.layer];
+                let layer = &recon[p.start..p.start + scales.len() * p.x.len()];
+                let y_comp: Vec<f32> = layer
+                    .chunks_exact(p.x.len())
+                    .zip(scales)
+                    .map(|(rc, &s)| dot(rc, &p.x) as f32 * s)
+                    .collect();
+                metrics::sqnr_db(&p.y_orig, &y_comp).min(80.0)
+            })
+            .sum();
+
+        // Coarse-binned KL: measures level collapse without being dominated
+        // by sub-bin rounding combs (see `kl_divergence_i8_binned`).
+        let kl = metrics::kl_divergence_i8_binned(&self.codes, &recon, 4);
+        let mse = metrics::mse_i8(&self.codes, &recon);
+        let original_bits = self.codes.len() * 8;
+        let sqnr = sqnr_acc / self.probes.len().max(1) as f64;
+
+        ModelFidelity {
+            model: self.name.to_string(),
+            method: method.to_string(),
+            kl_divergence: kl,
+            mse,
+            effective_bits: stored_bits as f64 / self.codes.len() as f64,
+            compression_ratio: original_bits as f64 / stored_bits as f64,
+            output_sqnr_db: sqnr,
+            est_accuracy_loss_pct: estimate_accuracy_loss_pct(kl, sqnr),
+        }
     }
 }
 
-/// SQNR between the layer outputs of original and reconstructed weights on
-/// synthetic activations.
-fn layer_output_sqnr(qt: &QuantTensor, recon: &[Vec<i32>], family: ModelFamily, seed: u64) -> f64 {
-    let epc = qt.elems_per_channel();
-    let x = synthesize_activations(epc, family, seed);
-    let mut y_orig = Vec::with_capacity(qt.channels());
-    let mut y_comp = Vec::with_capacity(qt.channels());
-    for (c, rc) in recon.iter().enumerate() {
-        let w = qt.channel(c);
-        let o: i64 = w
-            .iter()
-            .zip(&x)
-            .map(|(&wv, &xv)| wv as i64 * xv as i64)
-            .sum();
-        let r: i64 = rc
-            .iter()
-            .zip(&x)
-            .map(|(&wv, &xv)| wv as i64 * xv as i64)
-            .sum();
-        y_orig.push(o as f32 * qt.scales[c]);
-        y_comp.push(r as f32 * qt.scales[c]);
-    }
-    metrics::sqnr_db(&y_orig, &y_comp).min(80.0)
+/// Integer dot product of weight codes with activations.
+fn dot<W: Copy + Into<i64>>(w: &[W], x: &[i8]) -> i64 {
+    w.iter()
+        .zip(x)
+        .map(|(&wv, &xv)| wv.into() * xv as i64)
+        .sum()
 }
 
 /// Real measured accuracy of a trained MLP before and after compression.
@@ -470,30 +505,61 @@ pub fn compress_mlp(mlp: &mut Mlp, method: &CompressionMethod) {
     mlp.w1 = rebuilt.pop().expect("two layers");
 }
 
-/// Trains an MLP on the synthetic task and measures real accuracy under a
-/// compression method (the honest leg of Fig. 11).
-pub fn measure_real_accuracy(method: &CompressionMethod, seed: u64) -> RealAccuracy {
-    use crate::trainer::gaussian_blobs;
-    // A deliberately hard task (10 overlapping classes, chance = 10%) so
-    // decision margins are thin and weight perturbations measurably move
-    // accuracy — the regime where compression methods separate.
-    let (train, test) = gaussian_blobs(10, 12, 150, 200, 0.55, seed);
-    let mut mlp = Mlp::new(12, 20, 10, seed);
-    mlp.train(&train, 14, 0.05, seed);
-    let fp32 = mlp.accuracy(&test);
+/// An MLP trained once on the synthetic task, with its FP32 and INT8
+/// test accuracy: the shared input every method of the honest leg of
+/// Fig. 11 is measured against.
+#[derive(Debug, Clone)]
+pub struct TrainedMlp {
+    mlp: Mlp,
+    test: Dataset,
+    fp32: f64,
+    int8: f64,
+}
 
-    let mut int8_mlp = mlp.clone();
-    compress_mlp(&mut int8_mlp, &CompressionMethod::int8_baseline());
-    let int8 = int8_mlp.accuracy(&test);
+impl TrainedMlp {
+    /// Trains the MLP and measures its FP32 and INT8 accuracy.
+    pub fn new(seed: u64) -> Self {
+        // A deliberately hard task (10 overlapping classes, chance = 10%)
+        // so decision margins are thin and weight perturbations measurably
+        // move accuracy — the regime where compression methods separate.
+        let (train, test) = gaussian_blobs(10, 12, 150, 200, 0.55, seed);
+        let mut mlp = Mlp::new(12, 20, 10, seed);
+        mlp.train(&train, 14, 0.05, seed);
+        let fp32 = mlp.accuracy(&test);
+        let mut trained = TrainedMlp {
+            mlp,
+            test,
+            fp32,
+            int8: 0.0,
+        };
+        trained.int8 = trained.compressed(&CompressionMethod::int8_baseline());
+        trained
+    }
 
-    let mut comp_mlp = mlp.clone();
-    compress_mlp(&mut comp_mlp, method);
-    let compressed = comp_mlp.accuracy(&test);
+    /// Real accuracy under a compression method; the trained weights are
+    /// left untouched.
+    pub fn accuracy(&self, method: &CompressionMethod) -> RealAccuracy {
+        RealAccuracy {
+            fp32: self.fp32,
+            int8: self.int8,
+            compressed: self.compressed(method),
+        }
+    }
 
-    RealAccuracy {
-        fp32,
-        int8,
-        compressed,
+    /// FP32 test accuracy.
+    pub fn fp32(&self) -> f64 {
+        self.fp32
+    }
+
+    /// INT8 per-channel quantized accuracy.
+    pub fn int8(&self) -> f64 {
+        self.int8
+    }
+
+    fn compressed(&self, method: &CompressionMethod) -> f64 {
+        let mut mlp = self.mlp.clone();
+        compress_mlp(&mut mlp, method);
+        mlp.accuracy(&self.test)
     }
 }
 
@@ -567,11 +633,10 @@ mod tests {
         // compression BBS preserves the weight distribution (KL) better
         // than zero-column pruning and naive PTQ, and its estimated
         // accuracy loss is the lowest.
-        let model = zoo::vit_small();
-        let cap = 48 * 1024;
-        let bbs = evaluate_model_fidelity(&model, &CompressionMethod::bbs_moderate(), 3, cap);
-        let bw = evaluate_model_fidelity(&model, &CompressionMethod::bitwave_moderate(), 3, cap);
-        let ptq = evaluate_model_fidelity(&model, &CompressionMethod::ptq_moderate(), 3, cap);
+        let model = SynthModel::new(&zoo::vit_small(), 3, 48 * 1024);
+        let bbs = model.fidelity(&CompressionMethod::bbs_moderate());
+        let bw = model.fidelity(&CompressionMethod::bitwave_moderate());
+        let ptq = model.fidelity(&CompressionMethod::ptq_moderate());
         assert!(
             bbs.kl_divergence < bw.kl_divergence,
             "BBS KL {} vs BitWave {}",
@@ -601,8 +666,8 @@ mod tests {
     #[test]
     fn moderate_compression_ratio_near_paper() {
         // Paper: moderate pruning gives ~1.66x average model-size reduction.
-        let model = zoo::vit_small();
-        let f = evaluate_model_fidelity(&model, &CompressionMethod::bbs_moderate(), 4, 16 * 1024);
+        let f = SynthModel::new(&zoo::vit_small(), 4, 16 * 1024)
+            .fidelity(&CompressionMethod::bbs_moderate());
         assert!(
             (1.35..=1.95).contains(&f.compression_ratio),
             "ratio {}",
@@ -613,7 +678,7 @@ mod tests {
 
     #[test]
     fn real_accuracy_int8_is_lossless_and_bbs_mild() {
-        let acc = measure_real_accuracy(&CompressionMethod::bbs_conservative(), 11);
+        let acc = TrainedMlp::new(11).accuracy(&CompressionMethod::bbs_conservative());
         // Chance is 10% on this 10-class task; ~50% is well-trained.
         assert!(acc.fp32 > 0.40, "training failed: {}", acc.fp32);
         assert!(
@@ -636,16 +701,106 @@ mod tests {
         let mut bbs_loss = 0.0;
         let mut ptq_loss = 0.0;
         for seed in [21u64, 22, 23, 24, 25] {
-            bbs_loss +=
-                measure_real_accuracy(&CompressionMethod::bbs_moderate(), seed).loss_vs_int8_pct();
-            ptq_loss +=
-                measure_real_accuracy(&CompressionMethod::new(CompressionKind::Ptq(3), 0.20), seed)
-                    .loss_vs_int8_pct();
+            let mlp = TrainedMlp::new(seed);
+            bbs_loss += mlp
+                .accuracy(&CompressionMethod::bbs_moderate())
+                .loss_vs_int8_pct();
+            ptq_loss += mlp
+                .accuracy(&CompressionMethod::new(CompressionKind::Ptq(3), 0.20))
+                .loss_vs_int8_pct();
         }
         assert!(
             bbs_loss < ptq_loss,
             "BBS (sum {bbs_loss}) must lose less than 3-bit PTQ (sum {ptq_loss})"
         );
         assert!(bbs_loss / 5.0 < 4.0, "moderate BBS average loss too high");
+    }
+
+    #[test]
+    fn trained_mlp_reproduces_pinned_accuracies() {
+        // Recorded from the one-training-per-method implementation this
+        // API replaced: training once changes no number.
+        let mlp = TrainedMlp::new(21);
+        for (method, want) in [
+            (CompressionMethod::ptq_conservative(), 0.511),
+            (CompressionMethod::bbs_moderate(), 0.5065),
+        ] {
+            let acc = mlp.accuracy(&method);
+            assert_eq!(acc.fp32, 0.5135, "{method}");
+            assert_eq!(acc.int8, 0.5135, "{method}");
+            assert_eq!(acc.compressed, want, "{method}");
+        }
+    }
+
+    #[test]
+    fn synth_model_reproduces_pinned_fidelity() {
+        // Recorded from the synthesize-per-method implementation this API
+        // replaced: synthesizing once changes no number.
+        let model = SynthModel::new(&zoo::resnet34(), 7, 256);
+        let pins = [
+            (
+                CompressionMethod::bbs_moderate(),
+                [
+                    0.00671974520694987,
+                    12.761524915895711,
+                    5.20878889823381,
+                    30.343188067527407,
+                    0.43027149627972927,
+                ],
+            ),
+            (
+                CompressionMethod::ptq_moderate(),
+                [
+                    0.2661794002056025,
+                    19.51985649705635,
+                    5.022708158116064,
+                    26.650132849000485,
+                    0.8373861488556612,
+                ],
+            ),
+            (
+                CompressionMethod::bitwave_moderate(),
+                [
+                    0.7544067423048281,
+                    21.560325115643398,
+                    5.20878889823381,
+                    26.072322373174732,
+                    1.2239287679789281,
+                ],
+            ),
+        ];
+        for (method, [kl, mse, bits, sqnr, loss]) in pins {
+            let f = model.fidelity(&method);
+            assert_eq!(f.model, "ResNet-34");
+            assert_eq!(f.method, method.to_string());
+            assert_eq!(f.kl_divergence, kl, "{method}");
+            assert_eq!(f.mse, mse, "{method}");
+            assert_eq!(f.effective_bits, bits, "{method}");
+            assert_eq!(f.output_sqnr_db, sqnr, "{method}");
+            assert_eq!(f.est_accuracy_loss_pct, loss, "{method}");
+        }
+    }
+
+    #[test]
+    fn measuring_methods_in_any_order_gives_identical_results() {
+        // The trained or synthesized input is shared, never mutated.
+        let methods = [
+            CompressionMethod::ptq_moderate(),
+            CompressionMethod::bitwave_conservative(),
+            CompressionMethod::bbs_moderate(),
+        ];
+        let model = SynthModel::new(&zoo::vit_small(), 5, 4 * 1024);
+        let forward: Vec<ModelFidelity> = methods.iter().map(|m| model.fidelity(m)).collect();
+        let mut backward: Vec<ModelFidelity> =
+            methods.iter().rev().map(|m| model.fidelity(m)).collect();
+        backward.reverse();
+        assert_eq!(forward, backward);
+
+        let mlp = TrainedMlp::new(26);
+        let forward: Vec<RealAccuracy> = methods.iter().map(|m| mlp.accuracy(m)).collect();
+        let mut backward: Vec<RealAccuracy> =
+            methods.iter().rev().map(|m| mlp.accuracy(m)).collect();
+        backward.reverse();
+        assert_eq!(forward, backward);
     }
 }

@@ -5,7 +5,7 @@
 //! trained from scratch on a synthetic Markov corpus — perplexity is
 //! honestly computed as `exp(mean NLL)` before and after weight
 //! compression — while Llama-3-8B-shaped tensors provide the weight-space
-//! fidelity signal at scale (via [`crate::accuracy::evaluate_model_fidelity`]).
+//! fidelity signal at scale (via [`crate::accuracy::SynthModel`]).
 
 use crate::accuracy::{compress_mlp, CompressionMethod};
 use crate::layer::ModelSpec;
@@ -112,40 +112,73 @@ impl LmPerplexity {
     }
 }
 
-/// Trains the micro LM on a synthetic corpus and measures perplexity under
-/// a compression method (the honest leg of Fig. 17).
-pub fn measure_lm_perplexity(method: &CompressionMethod, seed: u64) -> LmPerplexity {
-    let vocab = 32;
-    // One stream, split 80/20 so train and test share the Markov table.
-    let corpus = markov_corpus(vocab, 15_000, seed);
-    let split = corpus.tokens.len() * 4 / 5;
-    let train_corpus = Corpus {
-        tokens: corpus.tokens[..split].to_vec(),
-        vocab,
-    };
-    let test_corpus = Corpus {
-        tokens: corpus.tokens[split..].to_vec(),
-        vocab,
-    };
-    let train = next_token_dataset(&train_corpus);
-    let test = next_token_dataset(&test_corpus);
+/// The micro LM trained once on a synthetic corpus, with its FP32 and INT8
+/// test perplexity: the shared input every method of the honest leg of
+/// Fig. 17 is measured against.
+#[derive(Debug, Clone)]
+pub struct TrainedLm {
+    mlp: Mlp,
+    test: Dataset,
+    fp32: f64,
+    int8: f64,
+}
 
-    let mut mlp = Mlp::new(2 * vocab, 48, vocab, seed);
-    mlp.train(&train, 8, 0.03, seed);
-    let fp32 = perplexity(&mlp, &test);
+impl TrainedLm {
+    /// Builds the corpus, trains the LM and measures its FP32 and INT8
+    /// perplexity.
+    pub fn new(seed: u64) -> Self {
+        let vocab = 32;
+        // One stream, split 80/20 so train and test share the Markov table.
+        let corpus = markov_corpus(vocab, 15_000, seed);
+        let split = corpus.tokens.len() * 4 / 5;
+        let train_corpus = Corpus {
+            tokens: corpus.tokens[..split].to_vec(),
+            vocab,
+        };
+        let test_corpus = Corpus {
+            tokens: corpus.tokens[split..].to_vec(),
+            vocab,
+        };
+        let train = next_token_dataset(&train_corpus);
+        let test = next_token_dataset(&test_corpus);
 
-    let mut int8_mlp = mlp.clone();
-    compress_mlp(&mut int8_mlp, &CompressionMethod::int8_baseline());
-    let int8 = perplexity(&int8_mlp, &test);
+        let mut mlp = Mlp::new(2 * vocab, 48, vocab, seed);
+        mlp.train(&train, 8, 0.03, seed);
+        let fp32 = perplexity(&mlp, &test);
+        let mut trained = TrainedLm {
+            mlp,
+            test,
+            fp32,
+            int8: 0.0,
+        };
+        trained.int8 = trained.compressed(&CompressionMethod::int8_baseline());
+        trained
+    }
 
-    let mut comp = mlp.clone();
-    compress_mlp(&mut comp, method);
-    let compressed = perplexity(&comp, &test);
+    /// Perplexity under a compression method; the trained weights are left
+    /// untouched.
+    pub fn perplexity(&self, method: &CompressionMethod) -> LmPerplexity {
+        LmPerplexity {
+            fp32: self.fp32,
+            int8: self.int8,
+            compressed: self.compressed(method),
+        }
+    }
 
-    LmPerplexity {
-        fp32,
-        int8,
-        compressed,
+    /// FP32 trained-model perplexity.
+    pub fn fp32(&self) -> f64 {
+        self.fp32
+    }
+
+    /// Perplexity after INT8 per-channel quantization.
+    pub fn int8(&self) -> f64 {
+        self.int8
+    }
+
+    fn compressed(&self, method: &CompressionMethod) -> f64 {
+        let mut mlp = self.mlp.clone();
+        compress_mlp(&mut mlp, method);
+        perplexity(&mlp, &self.test)
     }
 }
 
@@ -170,6 +203,7 @@ pub fn llama_subset(blocks: usize) -> ModelSpec {
 mod tests {
     use super::*;
     use crate::accuracy::CompressionKind;
+    use bbs_core::prune::PruneStrategy;
 
     #[test]
     fn corpus_is_learnable_structure() {
@@ -182,9 +216,26 @@ mod tests {
         assert_eq!(ds.dim, 64);
     }
 
+    /// The Fig. 17 method set: INT8 and whole-tensor (β = 0, §V-H)
+    /// Olive-4b, BBS conservative and BBS moderate.
+    fn fig17_methods() -> [CompressionMethod; 4] {
+        [
+            CompressionMethod::int8_baseline(),
+            CompressionMethod::new(CompressionKind::Olive, 0.0),
+            CompressionMethod::new(
+                CompressionKind::Bbs(PruneStrategy::RoundedAveraging, 2),
+                0.0,
+            ),
+            CompressionMethod::new(
+                CompressionKind::Bbs(PruneStrategy::ZeroPointShifting, 4),
+                0.0,
+            ),
+        ]
+    }
+
     #[test]
     fn trained_lm_beats_uniform_perplexity() {
-        let p = measure_lm_perplexity(&CompressionMethod::int8_baseline(), 5);
+        let p = TrainedLm::new(5);
         // Uniform guessing over 32 tokens would give ppl = 32; the Markov
         // structure is learnable to single digits.
         assert!(p.fp32 < 16.0, "fp32 ppl {}", p.fp32);
@@ -193,7 +244,7 @@ mod tests {
 
     #[test]
     fn int8_quantization_barely_moves_perplexity() {
-        let p = measure_lm_perplexity(&CompressionMethod::int8_baseline(), 6);
+        let p = TrainedLm::new(6);
         assert!(
             (p.int8 / p.fp32 - 1.0).abs() < 0.05,
             "INT8 ppl moved: {} vs {}",
@@ -203,26 +254,48 @@ mod tests {
     }
 
     #[test]
+    fn trained_lm_reproduces_pinned_perplexities() {
+        // Recorded from the one-training-per-method implementation this
+        // API replaced: training once changes no number.
+        let lm = TrainedLm::new(41);
+        let compressed = [
+            6.294517750164176,
+            6.573057725412996,
+            6.306477311674311,
+            6.315107576603539,
+        ];
+        for (method, want) in fig17_methods().iter().zip(compressed) {
+            let p = lm.perplexity(method);
+            assert_eq!(p.fp32, 6.297992005597564, "{method}");
+            assert_eq!(p.int8, 6.294517750164176, "{method}");
+            assert_eq!(p.compressed, want, "{method}");
+        }
+    }
+
+    #[test]
+    fn measuring_methods_in_any_order_gives_identical_results() {
+        let lm = TrainedLm::new(43);
+        let methods = fig17_methods();
+        let forward: Vec<LmPerplexity> = methods.iter().map(|m| lm.perplexity(m)).collect();
+        let mut backward: Vec<LmPerplexity> =
+            methods.iter().rev().map(|m| lm.perplexity(m)).collect();
+        backward.reverse();
+        assert_eq!(forward, backward);
+    }
+
+    #[test]
     fn fig17_ordering_conservative_beats_moderate_beats_olive() {
         // Averaged over 2 seeds: conservative BBS ~ lossless, moderate BBS
         // degrades less than Olive-4bit at similar footprint.
+        let [_, m_olive, m_cons, m_mod] = fig17_methods();
         let mut cons = 0.0;
         let mut moderate = 0.0;
         let mut olive = 0.0;
         for seed in [31u64, 32] {
-            // Whole-tensor compression (beta = 0) mirrors §V-H.
-            let m_cons = CompressionMethod::new(
-                CompressionKind::Bbs(bbs_core::prune::PruneStrategy::RoundedAveraging, 2),
-                0.0,
-            );
-            let m_mod = CompressionMethod::new(
-                CompressionKind::Bbs(bbs_core::prune::PruneStrategy::ZeroPointShifting, 4),
-                0.0,
-            );
-            let m_olive = CompressionMethod::new(CompressionKind::Olive, 0.0);
-            cons += measure_lm_perplexity(&m_cons, seed).increase_vs_fp32();
-            moderate += measure_lm_perplexity(&m_mod, seed).increase_vs_fp32();
-            olive += measure_lm_perplexity(&m_olive, seed).increase_vs_fp32();
+            let lm = TrainedLm::new(seed);
+            cons += lm.perplexity(&m_cons).increase_vs_fp32();
+            moderate += lm.perplexity(&m_mod).increase_vs_fp32();
+            olive += lm.perplexity(&m_olive).increase_vs_fp32();
         }
         assert!(
             cons <= moderate + 0.02,

@@ -7,8 +7,8 @@
 //! ```
 
 use bbs::core::prune::PruneStrategy;
-use bbs::models::accuracy::{evaluate_model_fidelity, CompressionKind, CompressionMethod};
-use bbs::models::lm::{llama_subset, measure_lm_perplexity};
+use bbs::models::accuracy::{CompressionKind, CompressionMethod, SynthModel};
+use bbs::models::lm::{llama_subset, TrainedLm};
 
 fn main() {
     let methods = [
@@ -33,8 +33,9 @@ fn main() {
     ];
 
     println!("micro-LM perplexity (measured, lower is better):");
+    let lm = TrainedLm::new(41);
     for (name, method) in &methods {
-        let p = measure_lm_perplexity(method, 41);
+        let p = lm.perplexity(method);
         println!(
             "  {:<17} ppl {:.3} (fp32 {:.3}, +{:.2}%)",
             name,
@@ -45,9 +46,9 @@ fn main() {
     }
 
     println!("\nLlama-3-8B-shaped weight fidelity (first 4 decoder blocks, sampled):");
-    let llama = llama_subset(4);
+    let llama = SynthModel::new(&llama_subset(4), 7, 64 * 1024);
     for (name, method) in &methods {
-        let f = evaluate_model_fidelity(&llama, method, 7, 64 * 1024);
+        let f = llama.fidelity(method);
         println!(
             "  {:<17} {:.2} bits/weight, KL {:.2e}, output SQNR {:.1} dB",
             name, f.effective_bits, f.kl_divergence, f.output_sqnr_db

@@ -2,20 +2,18 @@
 //! quality claims measured end to end.
 
 use bbs::core::prune::PruneStrategy;
-use bbs::models::accuracy::{
-    evaluate_model_fidelity, measure_real_accuracy, CompressionKind, CompressionMethod,
-};
-use bbs::models::lm::measure_lm_perplexity;
+use bbs::models::accuracy::{CompressionKind, CompressionMethod, SynthModel, TrainedMlp};
+use bbs::models::lm::TrainedLm;
 use bbs::models::zoo;
 
 const CAP: usize = 8 * 1024;
 
 #[test]
 fn bbs_preserves_distribution_best_at_moderate_compression() {
-    let model = zoo::resnet34();
-    let bbs = evaluate_model_fidelity(&model, &CompressionMethod::bbs_moderate(), 3, CAP);
-    let bitwave = evaluate_model_fidelity(&model, &CompressionMethod::bitwave_moderate(), 3, CAP);
-    let ptq = evaluate_model_fidelity(&model, &CompressionMethod::ptq_moderate(), 3, CAP);
+    let model = SynthModel::new(&zoo::resnet34(), 3, CAP);
+    let bbs = model.fidelity(&CompressionMethod::bbs_moderate());
+    let bitwave = model.fidelity(&CompressionMethod::bitwave_moderate());
+    let ptq = model.fidelity(&CompressionMethod::ptq_moderate());
     assert!(bbs.kl_divergence < bitwave.kl_divergence);
     assert!(bbs.kl_divergence < ptq.kl_divergence);
     assert!(bbs.est_accuracy_loss_pct < bitwave.est_accuracy_loss_pct);
@@ -25,9 +23,9 @@ fn bbs_preserves_distribution_best_at_moderate_compression() {
 #[test]
 fn compression_ratios_near_paper_averages() {
     // Paper: 1.29x conservative, 1.66x moderate (model-size reduction).
-    let model = zoo::vit_base();
-    let cons = evaluate_model_fidelity(&model, &CompressionMethod::bbs_conservative(), 3, CAP);
-    let moderate = evaluate_model_fidelity(&model, &CompressionMethod::bbs_moderate(), 3, CAP);
+    let model = SynthModel::new(&zoo::vit_base(), 3, CAP);
+    let cons = model.fidelity(&CompressionMethod::bbs_conservative());
+    let moderate = model.fidelity(&CompressionMethod::bbs_moderate());
     assert!(
         (1.1..=1.45).contains(&cons.compression_ratio),
         "cons {}",
@@ -44,13 +42,12 @@ fn compression_ratios_near_paper_averages() {
 fn real_trained_model_loss_ordering() {
     // Averaged over seeds: BBS moderate hurts less than matched-footprint
     // PTQ, and conservative is near-lossless — measured, not modelled.
-    let seeds = [31u64, 32, 33];
+    let mlps = [31u64, 32, 33].map(TrainedMlp::new);
     let avg = |m: &CompressionMethod| -> f64 {
-        seeds
-            .iter()
-            .map(|&s| measure_real_accuracy(m, s).loss_vs_int8_pct())
+        mlps.iter()
+            .map(|mlp| mlp.accuracy(m).loss_vs_int8_pct())
             .sum::<f64>()
-            / seeds.len() as f64
+            / mlps.len() as f64
     };
     let cons = avg(&CompressionMethod::bbs_conservative());
     let ptq3 = avg(&CompressionMethod::new(CompressionKind::Ptq(3), 0.20));
@@ -66,8 +63,9 @@ fn llm_perplexity_ordering_matches_fig17() {
         CompressionKind::Bbs(PruneStrategy::RoundedAveraging, 2),
         0.0,
     );
-    let p_olive = measure_lm_perplexity(&olive, 51);
-    let p_cons = measure_lm_perplexity(&cons, 51);
+    let lm = TrainedLm::new(51);
+    let p_olive = lm.perplexity(&olive);
+    let p_cons = lm.perplexity(&cons);
     assert!(
         p_cons.increase_vs_fp32() < 0.02,
         "conservative BBS ~ lossless: {}",
@@ -83,8 +81,9 @@ fn llm_perplexity_ordering_matches_fig17() {
 
 #[test]
 fn fidelity_is_deterministic() {
+    // Two independent syntheses, not one shared input.
     let model = zoo::vit_small();
-    let a = evaluate_model_fidelity(&model, &CompressionMethod::bbs_moderate(), 9, CAP);
-    let b = evaluate_model_fidelity(&model, &CompressionMethod::bbs_moderate(), 9, CAP);
+    let a = SynthModel::new(&model, 9, CAP).fidelity(&CompressionMethod::bbs_moderate());
+    let b = SynthModel::new(&model, 9, CAP).fidelity(&CompressionMethod::bbs_moderate());
     assert_eq!(a, b, "same seed must reproduce bit-identically");
 }
