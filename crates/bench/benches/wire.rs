@@ -1,8 +1,9 @@
 //! Criterion benchmarks of the serving wire path's JSON decoding — the
-//! work a coordinator does per forwarded cell (parse the shard's whole
-//! `/simulate` response) and a shard does per request (decode the body,
-//! by zoo name or with an inline layer table). All three must stay linear
-//! in the document size.
+//! work a coordinator does per forwarded cell (parse the shard's
+//! `/simulate` response `meta` and validate its result span, next to a
+//! full `Json::parse` and a bare `Json::validate` of the same body) and a
+//! shard does per request (decode the body, by zoo name or with an inline
+//! layer table). All must stay linear in the document size.
 //!
 //! Also the request's content key, computed once per request on both
 //! ends: over a zoo model's memoized canonical bytes, and over a custom
@@ -11,6 +12,7 @@
 use bbs_json::Json;
 use bbs_models::json::model_spec_to_json;
 use bbs_models::zoo;
+use bbs_serve::client::parse_simulate_response;
 use bbs_serve::registry::accelerator_by_name;
 use bbs_serve::server::simulate_ok_body;
 use bbs_serve::service::Served;
@@ -43,7 +45,13 @@ fn bench_wire(c: &mut Criterion) {
         &sim_result_to_json(&result).to_string(),
     );
     c.bench_function("wire/parse_simulate_response_bert", |b| {
+        b.iter(|| black_box(parse_simulate_response(black_box(&response)).unwrap()))
+    });
+    c.bench_function("wire/json_parse_bert", |b| {
         b.iter(|| black_box(Json::parse(black_box(&response)).unwrap()))
+    });
+    c.bench_function("wire/json_validate_bert", |b| {
+        b.iter(|| black_box(Json::validate(black_box(&response))).unwrap())
     });
 
     // The same request with its layer table inline, as a custom model

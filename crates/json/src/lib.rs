@@ -11,6 +11,8 @@
 //!   (it reads network input in `bbs-serve`). It runs in time linear in
 //!   the input size: plain string runs are copied with one `push_str`
 //!   each, never re-validated per character,
+//! * [`Json::validate`] — the same grammar building nothing, for bytes
+//!   that are forwarded verbatim but must still be well-formed,
 //! * `Display` — compact serialization whose float formatting is Rust's
 //!   shortest round-trip form, so `parse(v.to_string())` reproduces `v`
 //!   bit-for-bit for every finite `f64`,
@@ -137,19 +139,25 @@ impl Json {
     /// allowed). Nesting is limited to 128 levels and the input must be
     /// valid UTF-8 — suitable for untrusted network input.
     pub fn parse(input: &str) -> Result<Json, ParseError> {
-        let mut p = Parser {
-            src: input,
-            bytes: input.as_bytes(),
-            pos: 0,
-            depth: 0,
-        };
+        Parser::new(input).document::<Tree>()
+    }
+
+    /// Checks that `input` is a document [`Json::parse`] accepts, with the
+    /// same error where it is not, but builds nothing: no allocation and
+    /// no number conversion. For forwarding bytes already known to be
+    /// wanted verbatim.
+    pub fn validate(input: &str) -> Result<(), ParseError> {
+        Parser::new(input).document::<Skip>()
+    }
+
+    /// Parses the one value at the start of `input` (after any
+    /// whitespace) and returns it with the byte offset just past it.
+    /// Unlike [`Json::parse`], whatever follows is left to the caller.
+    pub fn parse_prefix(input: &str) -> Result<(Json, usize), ParseError> {
+        let mut p = Parser::new(input);
         p.skip_ws();
-        let v = p.value()?;
-        p.skip_ws();
-        if p.pos != p.bytes.len() {
-            return Err(p.err("trailing characters after JSON value"));
-        }
-        Ok(v)
+        let v = p.value::<Tree>()?;
+        Ok((v, p.pos))
     }
 
     /// Serializes with the given indent (compact when 0 — same as
@@ -307,6 +315,69 @@ impl std::error::Error for ParseError {}
 
 const MAX_DEPTH: usize = 128;
 
+/// What the one grammar below makes of what it reads: a [`Json`] tree for
+/// [`Json::parse`], nothing for [`Json::validate`]. Both walk the same
+/// code, so they accept exactly the same documents and fail at the same
+/// byte with the same message.
+trait Build {
+    type Value;
+    /// A decoded string: `String` when building, `()` when validating —
+    /// a `Vec` of `()` never allocates, so neither do skipped containers.
+    type Str: Default;
+    fn push(s: &mut Self::Str, run: &str);
+    fn literal(v: Json) -> Self::Value;
+    /// `text` is a number span [`Parser::number_span`] accepted.
+    fn num(text: &str) -> Self::Value;
+    fn str(s: Self::Str) -> Self::Value;
+    fn arr(items: Vec<Self::Value>) -> Self::Value;
+    fn obj(pairs: Vec<(Self::Str, Self::Value)>) -> Self::Value;
+}
+
+/// Builds the [`Json`] tree.
+struct Tree;
+
+impl Build for Tree {
+    type Value = Json;
+    type Str = String;
+    fn push(s: &mut String, run: &str) {
+        s.push_str(run);
+    }
+    fn literal(v: Json) -> Json {
+        v
+    }
+    fn num(text: &str) -> Json {
+        // Rust's float grammar accepts every span `number_span` does;
+        // overflowing exponents saturate to infinity or zero.
+        Json::Num(
+            text.parse()
+                .expect("an accepted number span is an f64 literal"),
+        )
+    }
+    fn str(s: String) -> Json {
+        Json::Str(s)
+    }
+    fn arr(items: Vec<Json>) -> Json {
+        Json::Arr(items)
+    }
+    fn obj(pairs: Vec<(String, Json)>) -> Json {
+        Json::Obj(pairs)
+    }
+}
+
+/// Builds nothing: checks the grammar only.
+struct Skip;
+
+impl Build for Skip {
+    type Value = ();
+    type Str = ();
+    fn push((): &mut (), _: &str) {}
+    fn literal(_: Json) {}
+    fn num(_: &str) {}
+    fn str((): ()) {}
+    fn arr(_: Vec<()>) {}
+    fn obj(_: Vec<((), ())>) {}
+}
+
 struct Parser<'a> {
     src: &'a str,
     bytes: &'a [u8],
@@ -315,6 +386,26 @@ struct Parser<'a> {
 }
 
 impl<'a> Parser<'a> {
+    fn new(src: &'a str) -> Parser<'a> {
+        Parser {
+            src,
+            bytes: src.as_bytes(),
+            pos: 0,
+            depth: 0,
+        }
+    }
+
+    /// One whole document: a value between optional whitespace.
+    fn document<B: Build>(&mut self) -> Result<B::Value, ParseError> {
+        self.skip_ws();
+        let v = self.value::<B>()?;
+        self.skip_ws();
+        if self.pos != self.bytes.len() {
+            return Err(self.err("trailing characters after JSON value"));
+        }
+        Ok(v)
+    }
+
     fn err(&self, msg: &str) -> ParseError {
         ParseError {
             pos: self.pos,
@@ -332,6 +423,14 @@ impl<'a> Parser<'a> {
         }
     }
 
+    fn skip_digits(&mut self) -> usize {
+        let start = self.pos;
+        while matches!(self.peek(), Some(c) if c.is_ascii_digit()) {
+            self.pos += 1;
+        }
+        self.pos - start
+    }
+
     fn expect(&mut self, b: u8) -> Result<(), ParseError> {
         if self.peek() == Some(b) {
             self.pos += 1;
@@ -341,33 +440,33 @@ impl<'a> Parser<'a> {
         }
     }
 
-    fn literal(&mut self, lit: &str, v: Json) -> Result<Json, ParseError> {
+    fn literal<B: Build>(&mut self, lit: &str, v: Json) -> Result<B::Value, ParseError> {
         if self.bytes[self.pos..].starts_with(lit.as_bytes()) {
             self.pos += lit.len();
-            Ok(v)
+            Ok(B::literal(v))
         } else {
             Err(self.err(&format!("expected '{lit}'")))
         }
     }
 
-    fn value(&mut self) -> Result<Json, ParseError> {
+    fn value<B: Build>(&mut self) -> Result<B::Value, ParseError> {
         if self.depth >= MAX_DEPTH {
             return Err(self.err("nesting too deep"));
         }
         match self.peek() {
-            Some(b'n') => self.literal("null", Json::Null),
-            Some(b't') => self.literal("true", Json::Bool(true)),
-            Some(b'f') => self.literal("false", Json::Bool(false)),
-            Some(b'"') => Ok(Json::Str(self.string()?)),
-            Some(b'[') => self.array(),
-            Some(b'{') => self.object(),
-            Some(c) if c == b'-' || c.is_ascii_digit() => self.number(),
+            Some(b'n') => self.literal::<B>("null", Json::Null),
+            Some(b't') => self.literal::<B>("true", Json::Bool(true)),
+            Some(b'f') => self.literal::<B>("false", Json::Bool(false)),
+            Some(b'"') => Ok(B::str(self.string::<B>()?)),
+            Some(b'[') => self.array::<B>(),
+            Some(b'{') => self.object::<B>(),
+            Some(c) if c == b'-' || c.is_ascii_digit() => Ok(B::num(self.number_span()?)),
             Some(_) => Err(self.err("unexpected character")),
             None => Err(self.err("unexpected end of input")),
         }
     }
 
-    fn array(&mut self) -> Result<Json, ParseError> {
+    fn array<B: Build>(&mut self) -> Result<B::Value, ParseError> {
         self.expect(b'[')?;
         self.depth += 1;
         let mut items = Vec::new();
@@ -375,25 +474,25 @@ impl<'a> Parser<'a> {
         if self.peek() == Some(b']') {
             self.pos += 1;
             self.depth -= 1;
-            return Ok(Json::Arr(items));
+            return Ok(B::arr(items));
         }
         loop {
             self.skip_ws();
-            items.push(self.value()?);
+            items.push(self.value::<B>()?);
             self.skip_ws();
             match self.peek() {
                 Some(b',') => self.pos += 1,
                 Some(b']') => {
                     self.pos += 1;
                     self.depth -= 1;
-                    return Ok(Json::Arr(items));
+                    return Ok(B::arr(items));
                 }
                 _ => return Err(self.err("expected ',' or ']'")),
             }
         }
     }
 
-    fn object(&mut self) -> Result<Json, ParseError> {
+    fn object<B: Build>(&mut self) -> Result<B::Value, ParseError> {
         self.expect(b'{')?;
         self.depth += 1;
         let mut pairs = Vec::new();
@@ -401,15 +500,15 @@ impl<'a> Parser<'a> {
         if self.peek() == Some(b'}') {
             self.pos += 1;
             self.depth -= 1;
-            return Ok(Json::Obj(pairs));
+            return Ok(B::obj(pairs));
         }
         loop {
             self.skip_ws();
-            let key = self.string()?;
+            let key = self.string::<B>()?;
             self.skip_ws();
             self.expect(b':')?;
             self.skip_ws();
-            let val = self.value()?;
+            let val = self.value::<B>()?;
             pairs.push((key, val));
             self.skip_ws();
             match self.peek() {
@@ -417,16 +516,16 @@ impl<'a> Parser<'a> {
                 Some(b'}') => {
                     self.pos += 1;
                     self.depth -= 1;
-                    return Ok(Json::Obj(pairs));
+                    return Ok(B::obj(pairs));
                 }
                 _ => return Err(self.err("expected ',' or '}'")),
             }
         }
     }
 
-    fn string(&mut self) -> Result<String, ParseError> {
+    fn string<B: Build>(&mut self) -> Result<B::Str, ParseError> {
         self.expect(b'"')?;
-        let mut s = String::new();
+        let mut s = B::Str::default();
         loop {
             match self.peek() {
                 None => return Err(self.err("unterminated string")),
@@ -435,55 +534,60 @@ impl<'a> Parser<'a> {
                     return Ok(s);
                 }
                 Some(b'\\') => {
-                    self.pos += 1;
-                    match self.peek() {
-                        Some(b'"') => s.push('"'),
-                        Some(b'\\') => s.push('\\'),
-                        Some(b'/') => s.push('/'),
-                        Some(b'b') => s.push('\u{8}'),
-                        Some(b'f') => s.push('\u{c}'),
-                        Some(b'n') => s.push('\n'),
-                        Some(b'r') => s.push('\r'),
-                        Some(b't') => s.push('\t'),
-                        Some(b'u') => {
-                            self.pos += 1;
-                            let hi = self.hex4()?;
-                            let c = if (0xd800..0xdc00).contains(&hi) {
-                                // Surrogate pair: require \uXXXX low half.
-                                if self.peek() != Some(b'\\') {
-                                    return Err(self.err("lone high surrogate"));
-                                }
-                                self.pos += 1;
-                                self.expect(b'u')?;
-                                let lo = self.hex4()?;
-                                if !(0xdc00..0xe000).contains(&lo) {
-                                    return Err(self.err("invalid low surrogate"));
-                                }
-                                let code = 0x10000 + ((hi - 0xd800) << 10) + (lo - 0xdc00);
-                                char::from_u32(code).ok_or_else(|| self.err("bad surrogate"))?
-                            } else {
-                                char::from_u32(hi).ok_or_else(|| self.err("bad escape"))?
-                            };
-                            s.push(c);
-                            continue;
-                        }
-                        _ => return Err(self.err("invalid escape")),
-                    }
-                    self.pos += 1;
+                    let c = self.escape()?;
+                    B::push(&mut s, c.encode_utf8(&mut [0; 4]));
                 }
                 Some(c) if c < 0x20 => return Err(self.err("control character in string")),
                 Some(_) => {
-                    // Copy the whole plain run in one go. Every stop byte
+                    // Take the whole plain run in one go. Every stop byte
                     // (`"`, `\`, < 0x20) is ASCII, so the run ends on a
                     // char boundary of the `&str` input.
                     let start = self.pos;
                     while matches!(self.peek(), Some(c) if c != b'"' && c != b'\\' && c >= 0x20) {
                         self.pos += 1;
                     }
-                    s.push_str(&self.src[start..self.pos]);
+                    B::push(&mut s, &self.src[start..self.pos]);
                 }
             }
         }
+    }
+
+    /// Decodes the escape at `\`, a surrogate pair as one char.
+    fn escape(&mut self) -> Result<char, ParseError> {
+        self.expect(b'\\')?;
+        let c = match self.peek() {
+            Some(b'"') => '"',
+            Some(b'\\') => '\\',
+            Some(b'/') => '/',
+            Some(b'b') => '\u{8}',
+            Some(b'f') => '\u{c}',
+            Some(b'n') => '\n',
+            Some(b'r') => '\r',
+            Some(b't') => '\t',
+            Some(b'u') => {
+                self.pos += 1;
+                let hi = self.hex4()?;
+                return if (0xd800..0xdc00).contains(&hi) {
+                    // Surrogate pair: require \uXXXX low half.
+                    if self.peek() != Some(b'\\') {
+                        return Err(self.err("lone high surrogate"));
+                    }
+                    self.pos += 1;
+                    self.expect(b'u')?;
+                    let lo = self.hex4()?;
+                    if !(0xdc00..0xe000).contains(&lo) {
+                        return Err(self.err("invalid low surrogate"));
+                    }
+                    let code = 0x10000 + ((hi - 0xd800) << 10) + (lo - 0xdc00);
+                    char::from_u32(code).ok_or_else(|| self.err("bad surrogate"))
+                } else {
+                    char::from_u32(hi).ok_or_else(|| self.err("bad escape"))
+                };
+            }
+            _ => return Err(self.err("invalid escape")),
+        };
+        self.pos += 1;
+        Ok(c)
     }
 
     fn hex4(&mut self) -> Result<u32, ParseError> {
@@ -501,33 +605,33 @@ impl<'a> Parser<'a> {
         Ok(v)
     }
 
-    fn number(&mut self) -> Result<Json, ParseError> {
+    /// Scans the longest `-? digits (. digits)? ([eE] [+-]? digits)?` run
+    /// and accepts it when it has at least one mantissa digit (before or
+    /// after the `.`) and, after any `e`/`E`, at least one exponent digit.
+    /// So `1.`, `-.5` and `01` are numbers; `-`, `1e` and `1e+` are not
+    /// (`.5` never gets here: a value cannot start with `.`).
+    fn number_span(&mut self) -> Result<&'a str, ParseError> {
         let start = self.pos;
         if self.peek() == Some(b'-') {
             self.pos += 1;
         }
-        while matches!(self.peek(), Some(c) if c.is_ascii_digit()) {
-            self.pos += 1;
-        }
+        let mut mantissa = self.skip_digits();
         if self.peek() == Some(b'.') {
             self.pos += 1;
-            while matches!(self.peek(), Some(c) if c.is_ascii_digit()) {
-                self.pos += 1;
-            }
+            mantissa += self.skip_digits();
         }
+        let mut exponent_ok = true;
         if matches!(self.peek(), Some(b'e' | b'E')) {
             self.pos += 1;
             if matches!(self.peek(), Some(b'+' | b'-')) {
                 self.pos += 1;
             }
-            while matches!(self.peek(), Some(c) if c.is_ascii_digit()) {
-                self.pos += 1;
-            }
+            exponent_ok = self.skip_digits() > 0;
         }
-        let text = std::str::from_utf8(&self.bytes[start..self.pos]).unwrap();
-        text.parse::<f64>()
-            .map(Json::Num)
-            .map_err(|_| self.err("invalid number"))
+        if mantissa == 0 || !exponent_ok {
+            return Err(self.err("invalid number"));
+        }
+        Ok(&self.src[start..self.pos])
     }
 }
 
@@ -771,6 +875,98 @@ mod tests {
         assert!(Json::parse(&deep).is_err());
         let ok = "[".repeat(100) + &"]".repeat(100);
         assert!(Json::parse(&ok).is_ok());
+    }
+
+    /// `validate` agrees with `parse` on `src`: both accept, or both fail
+    /// at the same byte with the same message.
+    fn agree(src: &str) -> Result<(), ParseError> {
+        let parsed = Json::parse(src).map(drop);
+        assert_eq!(
+            Json::validate(src),
+            parsed,
+            "validate and parse disagree on {src:?}"
+        );
+        parsed
+    }
+
+    #[test]
+    fn number_edge_cases() {
+        for (src, value) in [
+            ("-.5", -0.5),
+            ("1.", 1.0),
+            ("1.e5", 1e5),
+            ("01", 1.0),
+            ("1E-0", 1.0),
+            ("-0", -0.0),
+            ("1e999", f64::INFINITY),
+        ] {
+            agree(src).unwrap();
+            let got = Json::parse(src).unwrap().as_f64().unwrap();
+            assert_eq!(got.to_bits(), value.to_bits(), "{src}");
+        }
+        for (src, pos) in [("-", 1), ("-.", 2), ("1e", 2), ("1e+", 3), ("[1e}", 3)] {
+            let e = agree(src).unwrap_err();
+            assert_eq!(
+                (e.pos, e.message.as_str()),
+                (pos, "invalid number"),
+                "{src}"
+            );
+        }
+        let e = agree(".5").unwrap_err();
+        assert_eq!((e.pos, e.message.as_str()), (0, "unexpected character"));
+    }
+
+    #[test]
+    fn string_edge_cases() {
+        for (src, pos, message) in [
+            ("\"\\ud83d\"", 7, "lone high surrogate"),
+            ("\"\\ud83d\\u0041\"", 13, "invalid low surrogate"),
+            ("\"\\udc00\"", 7, "bad escape"),
+            ("\"a\u{1}b\"", 2, "control character in string"),
+            ("\"a\nb\"", 2, "control character in string"),
+            ("\"\\", 2, "invalid escape"),
+            ("\"\\u12", 5, "truncated \\u escape"),
+            ("\"\\x\"", 2, "invalid escape"),
+        ] {
+            let e = agree(src).unwrap_err();
+            assert_eq!((e.pos, e.message.as_str()), (pos, message), "{src:?}");
+        }
+        agree("\"\\/\"").unwrap();
+        assert_eq!(Json::parse("\"\\/\"").unwrap().as_str(), Some("/"));
+    }
+
+    #[test]
+    fn validate_enforces_the_depth_limit() {
+        let at_limit = "[".repeat(128) + &"]".repeat(128);
+        agree(&at_limit).unwrap();
+        let deep = "[".repeat(129) + &"]".repeat(129);
+        let e = agree(&deep).unwrap_err();
+        assert_eq!((e.pos, e.message.as_str()), (128, "nesting too deep"));
+        let objects = "{\"a\":".repeat(129) + "1" + &"}".repeat(129);
+        assert_eq!(agree(&objects).unwrap_err().message, "nesting too deep");
+    }
+
+    #[test]
+    fn validate_agrees_with_parse_on_every_prefix() {
+        let doc = "{\"a\":[1,-2.5e-3,true,false,null,\"x\\\"\\u00e9\\ud83d\\ude00é\"],\
+                   \"b\":{},\"c\":[],\"d\":{\"e\":[{}]}} ";
+        agree(doc).unwrap();
+        for end in (0..doc.len()).filter(|&i| doc.is_char_boundary(i)) {
+            let _ = agree(&doc[..end]);
+        }
+        let e = agree("{\"a\":1} x").unwrap_err();
+        assert_eq!(
+            (e.pos, e.message.as_str()),
+            (8, "trailing characters after JSON value")
+        );
+    }
+
+    #[test]
+    fn parse_prefix_stops_after_the_value() {
+        let (v, end) = Json::parse_prefix(" {\"k\":\"}\"},\"rest\"").unwrap();
+        assert_eq!(v.get("k").unwrap().as_str(), Some("}"));
+        assert_eq!(end, 10);
+        assert!(Json::parse_prefix("{\"k\":").is_err());
     }
 
     #[test]

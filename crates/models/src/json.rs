@@ -97,6 +97,16 @@ pub fn model_spec_to_json(m: &ModelSpec) -> Json {
 /// model equal to a zoo model borrows bytes built once per process; any
 /// other layer table is canonicalized on each call.
 pub fn model_spec_canonical(m: &ModelSpec) -> Cow<'static, str> {
+    match zoo_canonical(m) {
+        Some(bytes) => Cow::Borrowed(bytes),
+        None => Cow::Owned(model_spec_to_json(m).canonical()),
+    }
+}
+
+/// Whether `m` is an unmodified zoo model (then `m.name` names it), by
+/// lookup in a per-process table rather than by rebuilding the zoo: the
+/// model's memoized canonical bytes, or `None` for any other layer table.
+pub fn zoo_canonical(m: &ModelSpec) -> Option<&'static str> {
     static ZOO_BYTES: OnceLock<Vec<(ModelSpec, String)>> = OnceLock::new();
     let table = ZOO_BYTES.get_or_init(|| {
         zoo::all()
@@ -107,10 +117,10 @@ pub fn model_spec_canonical(m: &ModelSpec) -> Cow<'static, str> {
             })
             .collect()
     });
-    match table.iter().find(|(z, _)| z == m) {
-        Some((_, bytes)) => Cow::Borrowed(bytes),
-        None => Cow::Owned(model_spec_to_json(m).canonical()),
-    }
+    table
+        .iter()
+        .find(|(z, _)| z == m)
+        .map(|(_, bytes)| bytes.as_str())
 }
 
 /// Decodes a [`ModelSpec`]. The name must be a zoo model (it resolves to

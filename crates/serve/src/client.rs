@@ -12,6 +12,7 @@
 use crate::service::Served;
 use crate::sweep::{error_record, result_record, summary_record, SweepPlan, SweepTally};
 use bbs_json::Json;
+use std::fmt::Write as _;
 use std::io::{self, BufRead, BufReader, Read, Write};
 use std::net::{SocketAddr, TcpStream};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -88,14 +89,23 @@ impl Client {
     /// Sends one request and reads the response; returns
     /// `(status, body)`. The connection stays open for the next call.
     pub fn request(&mut self, method: &str, path: &str, body: &str) -> io::Result<(u16, String)> {
-        write!(
-            self.writer,
-            "{method} {path} HTTP/1.1\r\nhost: bbs-serve\r\ncontent-length: {}\r\n\r\n{body}",
-            body.len()
-        )
-        .and_then(|()| self.writer.flush())
-        .map_err(|e| self.clarify_timeout(e, "writing request"))?;
+        self.send(method, path, "", body)
+            .map_err(|e| self.clarify_timeout(e, "writing request"))?;
         self.read_response()
+    }
+
+    /// Writes one request with a single `write_all`: head and body are
+    /// formatted into one buffer, so under `TCP_NODELAY` a small request
+    /// leaves as one segment instead of one per format piece.
+    fn send(&mut self, method: &str, path: &str, headers: &str, body: &str) -> io::Result<()> {
+        let mut request = String::with_capacity(80 + path.len() + headers.len() + body.len());
+        let _ = write!(
+            request,
+            "{method} {path} HTTP/1.1\r\nhost: bbs-serve\r\n{headers}content-length: {}\r\n\r\n",
+            body.len()
+        );
+        request.push_str(body);
+        self.writer.write_all(request.as_bytes())
     }
 
     /// `POST /simulate` with a JSON body.
@@ -117,13 +127,7 @@ impl Client {
     /// reassembly) ending with the summary record; on an error status
     /// the single line is the JSON error body.
     pub fn sweep(mut self, body: &str) -> io::Result<(u16, SweepLines)> {
-        write!(
-            self.writer,
-            "POST /sweep HTTP/1.1\r\nhost: bbs-serve\r\nconnection: close\r\n\
-             content-length: {}\r\n\r\n{body}",
-            body.len()
-        )?;
-        self.writer.flush()?;
+        self.send("POST", "/sweep", "connection: close\r\n", body)?;
         let (status, content_length) = self.read_head()?;
         let trace = self.response_header("x-bbs-trace").map(str::to_string);
         Ok((
@@ -641,24 +645,29 @@ pub fn sweep_with_resume(
     })
 }
 
-/// Picks a `/simulate` 200 body apart into `(key, served, result text)`.
-/// The result text is a verbatim slice of the response — never re-encoded
-/// — ending at the envelope's closing `}`. The body may carry trailing
-/// whitespace (a newline-appending proxy, a hand-edited fixture): the
-/// slice ends at the *actual* JSON end, not at `len - 1`.
-pub(crate) fn parse_simulate_response(resp: &str) -> Option<(u64, Served, &str)> {
-    let v = Json::parse(resp).ok()?;
-    let head = v.get("meta")?;
+/// Picks a `/simulate` 200 body (`{"meta":{..},"result":R}`, as
+/// [`crate::server::simulate_ok_body`] frames it) apart into `(key, served,
+/// result text)`. Only `meta` is parsed; the result text is a verbatim
+/// slice of the response — never re-encoded — that is checked with
+/// [`Json::validate`], so a result that is not valid JSON still yields
+/// `None`. The body may carry surrounding whitespace (a newline-appending
+/// proxy, a hand-edited fixture): the slice ends at the envelope's actual
+/// closing `}`, not at `len - 1`.
+#[doc(hidden)]
+pub fn parse_simulate_response(resp: &str) -> Option<(u64, Served, &str)> {
+    let envelope = resp.trim_matches([' ', '\t', '\n', '\r']);
+    let rest = envelope.strip_prefix("{\"meta\":")?;
+    let (head, meta_len) = Json::parse_prefix(rest).ok()?;
+    let result_text = rest[meta_len..]
+        .strip_prefix(",\"result\":")?
+        .strip_suffix('}')?;
+    Json::validate(result_text).ok()?;
     let key = u64::from_str_radix(head.get("key")?.as_str()?, 16).ok()?;
     let served = match head.get("served")?.as_str()? {
         "cache" => Served::Hit,
         "coalesced" => Served::Coalesced,
         _ => Served::Fresh,
     };
-    let marker = ",\"result\":";
-    let pos = resp.find(marker)?;
-    let end = resp.trim_end().strip_suffix('}')?.len();
-    let result_text = resp.get(pos + marker.len()..end)?;
     Some((key, served, result_text))
 }
 
@@ -680,15 +689,23 @@ pub(crate) mod tests {
 
     /// Serves one connection with a canned byte response, then closes.
     pub(crate) fn canned_server(response: impl Into<Vec<u8>>) -> SocketAddr {
+        recording_server(response).0
+    }
+
+    /// [`canned_server`] that also hands over the request bytes it read.
+    fn recording_server(
+        response: impl Into<Vec<u8>>,
+    ) -> (SocketAddr, std::sync::mpsc::Receiver<Vec<u8>>) {
         let response = response.into();
         let listener = TcpListener::bind("127.0.0.1:0").unwrap();
         let addr = listener.local_addr().unwrap();
+        let (tx, rx) = std::sync::mpsc::channel();
         std::thread::spawn(move || {
             let (mut sock, _) = listener.accept().unwrap();
             // Drain the full request (head and any content-length body)
-            // before responding — the client writes in several small
-            // chunks, and closing early would turn its write into a
-            // BrokenPipe instead of exercising the read path under test.
+            // before responding — closing early would turn the client's
+            // write into a BrokenPipe instead of exercising the read path
+            // under test.
             let mut seen = Vec::new();
             let mut buf = [0u8; 4096];
             loop {
@@ -707,10 +724,52 @@ pub(crate) mod tests {
                     }
                 }
             }
+            // Nobody listening is fine: plain canned servers drop `rx`.
+            let _ = tx.send(seen);
             sock.write_all(&response).unwrap();
             // Dropping the socket closes the connection (EOF framing).
         });
-        addr
+        (addr, rx)
+    }
+
+    #[test]
+    fn requests_keep_their_exact_wire_bytes() {
+        let ok = "HTTP/1.1 200 OK\r\ncontent-length: 2\r\n\r\n{}";
+        let sent = |exchange: &dyn Fn(SocketAddr)| {
+            let (addr, rx) = recording_server(ok);
+            exchange(addr);
+            String::from_utf8(rx.recv().unwrap()).unwrap()
+        };
+        let body = "{\"model\":\"ViT-Small\",\"accelerator\":\"stripes\"}";
+        assert_eq!(
+            sent(&|addr| drop(Client::connect(addr).unwrap().simulate(body).unwrap())),
+            format!(
+                "POST /simulate HTTP/1.1\r\nhost: bbs-serve\r\ncontent-length: 45\r\n\r\n{body}"
+            )
+        );
+        assert_eq!(
+            sent(&|addr| drop(
+                Client::connect(addr)
+                    .unwrap()
+                    .request("POST", "/x", "")
+                    .unwrap()
+            )),
+            "POST /x HTTP/1.1\r\nhost: bbs-serve\r\ncontent-length: 0\r\n\r\n"
+        );
+        assert_eq!(
+            sent(&|addr| drop(Client::connect(addr).unwrap().get("/stats").unwrap())),
+            "GET /stats HTTP/1.1\r\nhost: bbs-serve\r\ncontent-length: 0\r\n\r\n"
+        );
+        for body in ["", RESUME_SWEEP_BODY] {
+            assert_eq!(
+                sent(&|addr| drop(Client::connect(addr).unwrap().sweep(body).unwrap())),
+                format!(
+                    "POST /sweep HTTP/1.1\r\nhost: bbs-serve\r\nconnection: close\r\n\
+                     content-length: {}\r\n\r\n{body}",
+                    body.len()
+                )
+            );
+        }
     }
 
     #[test]
@@ -914,6 +973,79 @@ pub(crate) mod tests {
             splice_simulate_record(&meta, &padded),
             Some(result_record(&meta, 0xff, Served::Fresh, "{\"x\":1}"))
         );
+    }
+
+    /// The full-parse splice `parse_simulate_response` replaced: the
+    /// oracle its answers are pinned to.
+    fn parse_simulate_response_by_full_parse(resp: &str) -> Option<(u64, Served, &str)> {
+        let v = Json::parse(resp).ok()?;
+        let head = v.get("meta")?;
+        let key = u64::from_str_radix(head.get("key")?.as_str()?, 16).ok()?;
+        let served = match head.get("served")?.as_str()? {
+            "cache" => Served::Hit,
+            "coalesced" => Served::Coalesced,
+            _ => Served::Fresh,
+        };
+        let marker = ",\"result\":";
+        let pos = resp.find(marker)?;
+        let end = resp.trim_end().strip_suffix('}')?.len();
+        let result_text = resp.get(pos + marker.len()..end)?;
+        Some((key, served, result_text))
+    }
+
+    #[test]
+    fn splice_matches_the_full_parse_on_real_answers_and_rejects_broken_ones() {
+        use crate::server::simulate_ok_body;
+        let models = ["ViT-Small", "ResNet-34", "Bert-SST2", "VGG-16"];
+        let accelerators = ["stripes", "bitwave", "bitvert-moderate", "bitlet"];
+        let served = [Served::Hit, Served::Coalesced, Served::Fresh];
+        for (i, (model, accelerator)) in models
+            .iter()
+            .flat_map(|m| accelerators.iter().map(move |a| (m, a)))
+            .enumerate()
+        {
+            let request = crate::SimRequest {
+                model: bbs_models::zoo::by_name(model).unwrap(),
+                accelerator: crate::registry::canonical_id(accelerator).unwrap(),
+                config: bbs_sim::ArrayConfig::paper_16x32(),
+                seed: 7,
+                max_weights_per_layer: 256,
+            };
+            let result = bbs_sim::simulate(
+                crate::registry::accelerator_by_name(request.accelerator)
+                    .unwrap()
+                    .as_ref(),
+                &request.model,
+                &request.config,
+                request.seed,
+                request.max_weights_per_layer,
+            );
+            let text = bbs_sim::json::sim_result_to_json(&result).to_string();
+            let body = simulate_ok_body(request.key(), served[i % 3], &text);
+            let got = parse_simulate_response(&body);
+            assert_eq!(
+                got,
+                parse_simulate_response_by_full_parse(&body),
+                "{model}/{accelerator}"
+            );
+            assert_eq!(got, Some((request.key(), served[i % 3], text.as_str())));
+
+            let broken = [
+                text[..text.len() - 1].to_string(),
+                text.replacen('}', ",\"x\":1e}", 1),
+                text.replacen(":\"", ":\"\n", 1),
+                format!("{text}x"),
+            ];
+            for bad in broken {
+                let body = simulate_ok_body(request.key(), Served::Hit, &bad);
+                assert_eq!(
+                    parse_simulate_response(&body),
+                    None,
+                    "{model}/{accelerator}: {bad}"
+                );
+                assert_eq!(parse_simulate_response_by_full_parse(&body), None);
+            }
+        }
     }
 
     const RESUME_SWEEP_BODY: &str = "{\"models\":[\"ViT-Small\",\"ResNet-34\"],\

@@ -539,7 +539,7 @@ impl Inner {
     /// Runs one job against shard `idx` with the bounded per-shard retry
     /// schedule (503 `Retry-After` honored as the backoff floor, exactly
     /// like [`Client::request_with_retry`]).
-    fn try_shard(&self, idx: usize, job: &Job) -> Result<(Served, String), ShardError> {
+    fn try_shard(&self, idx: usize, job: &Job) -> Result<(Served, Arc<str>), ShardError> {
         let shard = &self.shards[idx];
         let pool = &self.pools[idx];
         let attempts = self.retry.attempts.max(1);
@@ -574,7 +574,7 @@ impl Inner {
                             )))
                         }
                         Some((_, served, text)) => {
-                            let text = text.to_string();
+                            let text = Arc::from(text);
                             pool.put(client);
                             Ok((served, text))
                         }
@@ -628,7 +628,7 @@ impl Inner {
                 let us = started.elapsed().as_micros() as u64;
                 shard.latency_us.record(us);
                 self.latency_us.record(us);
-                (job.done)(Ok((Arc::from(text.as_str()), served, Timing::default())));
+                (job.done)(Ok((text, served, Timing::default())));
             }
             Err(ShardError::Definitive(message)) => {
                 shard.errors.fetch_add(1, Ordering::Relaxed);

@@ -81,7 +81,7 @@ impl SimRequest {
     /// [`key`](Self::key), and the name form spares both ends encoding and
     /// re-parsing the whole layer table.
     pub fn to_json(&self) -> Json {
-        let model = if zoo::by_name(self.model.name).as_ref() == Some(&self.model) {
+        let model = if bbs_models::json::zoo_canonical(&self.model).is_some() {
             Json::str(self.model.name)
         } else {
             bbs_models::json::model_spec_to_json(&self.model)

@@ -2,24 +2,28 @@
 //! exact for every encodable group, the scheduling machinery respects its
 //! invariants, the flat-profile scheduler is bit-identical to the retained
 //! nested reference, store-cached lowering is bit-identical to fresh
-//! lowering, and request keys equal the tree-canonical oracle.
+//! lowering, request keys equal the tree-canonical oracle, and
+//! `Json::validate` accepts exactly what `Json::parse` accepts.
 
 use bbs_core::averaging::rounded_averaging;
 use bbs_core::shifting::zero_point_shifting;
 use bbs_json::{fnv1a_64, Json, MAX_SAFE_INT};
 use bbs_models::json::model_spec_to_json;
 use bbs_models::{zoo, ModelSpec};
+use bbs_sim::accel::bitvert::BitVert;
 use bbs_sim::accel::reference::{wave_schedule_nested, NestedProfile};
+use bbs_sim::accel::stripes::Stripes;
 use bbs_sim::accel::{wave_schedule_with, LatencyProfile, SyncGranularity};
 use bbs_sim::bitvert_func::pe::group_dot;
 use bbs_sim::bitvert_func::scheduler::subgroup_partial_sum;
-use bbs_sim::json::{array_config_to_json, sim_request_key};
+use bbs_sim::json::{array_config_to_json, sim_request_key, sim_result_to_json};
 use bbs_sim::store::WorkloadStore;
 use bbs_sim::workload::lower_model;
-use bbs_sim::ArrayConfig;
+use bbs_sim::{simulate, ArrayConfig};
 use proptest::collection::vec;
 use proptest::prelude::*;
 use std::collections::BTreeMap;
+use std::sync::OnceLock;
 
 /// Request keys as first defined: the whole request built as one JSON
 /// tree, every object re-sorted through a `BTreeMap` of cloned values,
@@ -246,6 +250,93 @@ proptest! {
                 cap
             );
         }
+    }
+}
+
+/// Real `/simulate` result documents, compact and pretty-printed.
+fn real_results() -> &'static [String] {
+    static DOCS: OnceLock<Vec<String>> = OnceLock::new();
+    DOCS.get_or_init(|| {
+        let cfg = ArrayConfig::paper_16x32();
+        let vit = simulate(&Stripes::new(), &zoo::vit_small(), &cfg, 7, 64);
+        let resnet = simulate(&BitVert::moderate(), &zoo::resnet34(), &cfg, 8, 64);
+        [vit, resnet]
+            .iter()
+            .map(sim_result_to_json)
+            .flat_map(|v| [v.to_string(), v.pretty(2)])
+            .collect()
+    })
+}
+
+/// Characters that make or break JSON structure, numbers, escapes and
+/// UTF-8 runs — what the mutations below insert or overwrite with.
+const JSON_JUNK: [&str; 24] = [
+    "\"", "\\", "{", "}", "[", "]", ",", ":", "-", "+", ".", "e", "0", "7", "u", "\\u", "\\ud83d",
+    "\\udc00", "nul", " ", "\n", "\u{1}", "é", "😀",
+];
+
+/// A random document: nested arrays and objects of literals, numbers of
+/// every shape `write_number` prints, and strings that need escaping.
+fn random_json(rng: &mut TestRng, depth: usize) -> Json {
+    let scalars = 6;
+    let kinds = if depth == 0 { scalars } else { scalars + 2 };
+    match rng.below(kinds) {
+        0 => Json::Null,
+        1 => Json::Bool(rng.below(2) == 0),
+        2 => Json::Num([-0.0, 0.0, 3.0, -1.5e-7, 1e300, 123456789.0][rng.below(6)]),
+        3 => Json::Num((rng.unit_f64() - 0.5) * 1e6),
+        4 | 5 => {
+            let pieces = ["a", "é", "😀", "\"", "\\", "\n", "\u{1}", "/", "\u{7f}"];
+            Json::Str(
+                (0..rng.below(6))
+                    .map(|_| pieces[rng.below(pieces.len())])
+                    .collect(),
+            )
+        }
+        6 => Json::Arr(
+            (0..rng.below(4))
+                .map(|_| random_json(rng, depth - 1))
+                .collect(),
+        ),
+        _ => Json::Obj(
+            (0..rng.below(4))
+                .map(|i| (format!("k{i}é"), random_json(rng, depth - 1)))
+                .collect(),
+        ),
+    }
+}
+
+proptest! {
+    /// `Json::validate` accepts exactly the documents `Json::parse` does
+    /// and fails at the same byte with the same message: on random and
+    /// real documents, whole and after truncations, overwrites and
+    /// insertions at char boundaries.
+    #[test]
+    fn json_validate_agrees_with_parse(
+        (source, seed) in (0usize..3, any::<u64>()),
+        edits in vec((0usize..3, any::<usize>(), 0..JSON_JUNK.len()), 0..=3),
+    ) {
+        let mut doc = if source == 0 {
+            random_json(&mut TestRng::for_case("json", seed), 4).to_string()
+        } else {
+            let real = real_results();
+            real[(seed as usize) % real.len()].clone()
+        };
+        for (op, at, junk) in edits {
+            let bounds: Vec<usize> =
+                (0..=doc.len()).filter(|&i| doc.is_char_boundary(i)).collect();
+            let i = bounds[at % bounds.len()];
+            match op {
+                0 => doc.truncate(i),
+                1 => doc.insert_str(i, JSON_JUNK[junk]),
+                _ => {
+                    let end = bounds.iter().find(|&&b| b > i).copied().unwrap_or(i);
+                    doc.replace_range(i..end, JSON_JUNK[junk]);
+                }
+            }
+        }
+        let parsed = Json::parse(&doc).map(drop);
+        prop_assert_eq!(Json::validate(&doc), parsed, "{:?}", doc);
     }
 }
 
