@@ -7,6 +7,8 @@ use bbs_core::encoding::CompressedGroup;
 use bbs_core::prune::BinaryPruner;
 use bbs_core::shifting::{zero_point_shifting, zero_point_shifting_scalar};
 use bbs_core::zero_col::{sign_magnitude_zero_column, sign_magnitude_zero_column_scalar};
+use bbs_tensor::lanes::Backend;
+use bbs_tensor::quant::{channel_scale_with, ScaleMethod};
 use bbs_tensor::rng::SeededRng;
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 
@@ -29,6 +31,17 @@ fn bench_kernels(c: &mut Criterion) {
     c.bench_function("lossless_encode_decode/32", |b| {
         b.iter(|| CompressedGroup::lossless(black_box(&g)).decode())
     });
+    // PTQ's clip-scale search: one 32-weight channel, 32 candidate scales.
+    let channel = channel32(&g);
+    let active = Backend::active();
+    c.bench_function("quant/mse_grid_32x32", |b| {
+        b.iter(|| channel_scale_with(active, black_box(&channel), 4, ScaleMethod::MseGrid(32)))
+    });
+}
+
+/// A 32-weight group as the f32 channel PTQ's scale search reads.
+fn channel32(g: &[i8]) -> Vec<f32> {
+    g.iter().map(|&w| w as f32).collect()
 }
 
 fn bench_scalar_oracles(c: &mut Criterion) {
@@ -44,6 +57,17 @@ fn bench_scalar_oracles(c: &mut Criterion) {
     });
     c.bench_function("scalar_oracle/zero_column/32x3col", |b| {
         b.iter(|| sign_magnitude_zero_column_scalar(black_box(&g), 3))
+    });
+    let channel = channel32(&g);
+    c.bench_function("scalar_oracle/quant/mse_grid_32x32", |b| {
+        b.iter(|| {
+            channel_scale_with(
+                Backend::Scalar,
+                black_box(&channel),
+                4,
+                ScaleMethod::MseGrid(32),
+            )
+        })
     });
 }
 

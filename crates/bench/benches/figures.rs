@@ -21,7 +21,7 @@ fn fig03_sparsity(c: &mut Criterion) {
 fn fig06_kl(c: &mut Criterion) {
     let model = zoo::resnet34();
     c.bench_function("fig06/kl_resnet34_4col", |b| {
-        b.iter(|| bbs_bench::experiments::fig06::technique_kls(black_box(&model), 4))
+        b.iter(|| bbs_bench::experiments::fig06::technique_kls(black_box(&model), &[4]))
     });
 }
 

@@ -9,44 +9,52 @@ use bbs_core::zero_col::sign_magnitude_zero_column;
 use bbs_models::synth::synthesize_weights_sampled;
 use bbs_models::zoo;
 use bbs_tensor::metrics::kl_divergence_i8_binned;
+use bbs_tensor::quant::QuantTensor;
 
-/// KL of one whole-model compression with the given per-group kernel.
-fn model_kl(model: &bbs_models::ModelSpec, kernel: impl Fn(&[i8]) -> Vec<i32>) -> f64 {
-    let mut orig: Vec<i8> = Vec::new();
-    let mut recon: Vec<i32> = Vec::new();
-    for (i, spec) in model.layers.iter().enumerate() {
-        let synth = synthesize_weights_sampled(
-            spec,
-            model.family,
-            SEED.wrapping_add(i as u64),
-            weight_cap(),
-        );
-        let qt = &synth.weights;
-        for c in 0..qt.channels() {
-            for group in qt.channel(c).chunks(32) {
-                orig.extend_from_slice(group);
-                recon.extend(kernel(group));
-            }
-        }
-    }
-    kl_divergence_i8_binned(&orig, &recon, 4)
-}
+/// The pruning levels Fig. 6 compares.
+const COLUMNS: [usize; 2] = [2, 4];
 
-/// The three techniques at one pruning level.
-pub fn technique_kls(model: &bbs_models::ModelSpec, columns: usize) -> [f64; 3] {
-    [
-        model_kl(model, |g| sign_magnitude_zero_column(g, columns).decode()),
-        model_kl(model, |g| rounded_averaging(g, columns).decode()),
-        model_kl(model, |g| zero_point_shifting(g, columns).decode()),
-    ]
+/// The three techniques' KLs at each pruning level in `columns`, over one
+/// synthesis of the model.
+pub fn technique_kls(model: &bbs_models::ModelSpec, columns: &[usize]) -> Vec<[f64; 3]> {
+    let layers: Vec<QuantTensor> = model
+        .layers
+        .iter()
+        .enumerate()
+        .map(|(i, spec)| {
+            let seed = SEED.wrapping_add(i as u64);
+            synthesize_weights_sampled(spec, model.family, seed, weight_cap()).weights
+        })
+        .collect();
+    // Groups never span channels, and a channel need not be a multiple of
+    // 32 wide (ResNet-34's first conv), so chunk each channel on its own.
+    let groups: Vec<&[i8]> = layers
+        .iter()
+        .flat_map(|qt| (0..qt.channels()).flat_map(move |c| qt.channel(c).chunks(32)))
+        .collect();
+    let orig = groups.concat();
+    let kl = |kernel: &dyn Fn(&[i8]) -> Vec<i32>| {
+        let recon: Vec<i32> = groups.iter().flat_map(|g| kernel(g)).collect();
+        kl_divergence_i8_binned(&orig, &recon, 4)
+    };
+    columns
+        .iter()
+        .map(|&cols| {
+            [
+                kl(&|g| sign_magnitude_zero_column(g, cols).decode()),
+                kl(&|g| rounded_averaging(g, cols).decode()),
+                kl(&|g| zero_point_shifting(g, cols).decode()),
+            ]
+        })
+        .collect()
 }
 
 /// Regenerates Fig. 6.
 pub fn run() {
     let mut rows: Vec<Vec<String>> = Vec::new();
     for model in [zoo::resnet34(), zoo::vit_base()] {
-        for columns in [2usize, 4] {
-            let [zc, avg, zps] = technique_kls(&model, columns);
+        let kls = technique_kls(&model, &COLUMNS);
+        for (columns, [zc, avg, zps]) in COLUMNS.into_iter().zip(kls) {
             let max = zc.max(avg).max(zps).max(1e-12);
             rows.push(vec![
                 model.name.to_string(),

@@ -76,15 +76,11 @@ pub fn qmax(bits: u8) -> i32 {
     (1i32 << (bits - 1)) - 1
 }
 
-/// `max |w|` as `f64`, dispatched over the active lane backend.
+/// `max |w|` as `f64`, dispatched over the given lane backend.
 ///
 /// Max is associative and commutative over non-NaN values and both paths
 /// take `|w|` with an exact sign-bit clear followed by an exact f32→f64
 /// conversion, so the wide path is bit-identical to the scalar fold.
-fn absmax_f64(channel: &[f32]) -> f64 {
-    absmax_f64_with(Backend::active(), channel)
-}
-
 fn absmax_f64_with(backend: Backend, channel: &[f32]) -> f64 {
     #[cfg(target_arch = "x86_64")]
     if backend == Backend::Native && Backend::native_available() {
@@ -181,8 +177,16 @@ unsafe fn quantize_row_avx2(row: &[f32], s: f32, qm: i32, out: &mut Vec<i8>) {
 }
 
 fn channel_scale(channel: &[f32], bits: u8, method: ScaleMethod) -> f32 {
+    channel_scale_with(Backend::active(), channel, bits, method)
+}
+
+/// The per-channel scale [`quantize_per_channel`] and [`requantize_i8`]
+/// pick, with an explicit [`Backend`] — what the differential tests use to
+/// force every compiled backend in-process. Every backend picks the same
+/// scale, bit for bit.
+pub fn channel_scale_with(backend: Backend, channel: &[f32], bits: u8, method: ScaleMethod) -> f32 {
     let qm = qmax(bits) as f64;
-    let absmax = absmax_f64(channel);
+    let absmax = absmax_f64_with(backend, channel);
     if absmax == 0.0 {
         return 1.0;
     }
@@ -194,29 +198,145 @@ fn channel_scale(channel: &[f32], bits: u8, method: ScaleMethod) -> f32 {
             let idx = ((mags.len() as f64 - 1.0) * p.clamp(0.0, 1.0)).round() as usize;
             (mags[idx].max(1e-12) / qm) as f32
         }
-        ScaleMethod::MseGrid(steps) => {
-            let mut best_scale = (absmax / qm) as f32;
-            let mut best_mse = f64::INFINITY;
-            for k in 0..steps.max(1) {
-                // Candidate clip points from 40%..100% of absmax.
-                let frac = 0.4 + 0.6 * (k as f64 + 1.0) / steps.max(1) as f64;
-                let s = (absmax * frac / qm) as f32;
-                let mse: f64 = channel
-                    .iter()
-                    .map(|&w| {
-                        let q = (w / s).round().clamp(-(qm as f32) - 1.0, qm as f32);
-                        let r = q * s;
-                        (w as f64 - r as f64).powi(2)
-                    })
-                    .sum();
-                if mse < best_mse {
-                    best_mse = mse;
-                    best_scale = s;
-                }
+        ScaleMethod::MseGrid(steps) => mse_grid_scale_with(backend, channel, absmax, qm, steps),
+    }
+}
+
+/// Candidate scales one [`grid_mses_with`] call scores together.
+const GRID_LANES: usize = 8;
+
+/// The `MseGrid(steps)` search: the candidate clip scale with the lowest
+/// reconstruction error, the first one winning ties. Candidates are scored
+/// [`GRID_LANES`] at a time and compared in candidate order, so batching
+/// cannot change which one wins.
+fn mse_grid_scale_with(
+    backend: Backend,
+    channel: &[f32],
+    absmax: f64,
+    qm: f64,
+    steps: usize,
+) -> f32 {
+    let steps = steps.max(1);
+    let mut best_scale = (absmax / qm) as f32;
+    let mut best_mse = f64::INFINITY;
+    let mut scales = [0.0f32; GRID_LANES];
+    let mut mses = [0.0f64; GRID_LANES];
+    for first in (0..steps).step_by(GRID_LANES) {
+        let n = GRID_LANES.min(steps - first);
+        for (k, s) in scales[..n].iter_mut().enumerate() {
+            *s = grid_candidate(absmax, qm, steps, first + k);
+        }
+        // Lanes past `n` rescore leftover scales; their errors are ignored.
+        grid_mses_with(backend, channel, &scales, qm as f32, &mut mses);
+        for (&s, &mse) in scales[..n].iter().zip(&mses[..n]) {
+            // A NaN error (a scale flushed to zero meets a zero weight)
+            // never compares below, so it never wins.
+            if mse < best_mse {
+                best_mse = mse;
+                best_scale = s;
             }
-            best_scale
         }
     }
+    best_scale
+}
+
+/// Candidate `k` of `steps`: clip points from 40%..100% of absmax.
+fn grid_candidate(absmax: f64, qm: f64, steps: usize, k: usize) -> f32 {
+    let frac = 0.4 + 0.6 * (k as f64 + 1.0) / steps as f64;
+    (absmax * frac / qm) as f32
+}
+
+/// Squared reconstruction error of `channel`, summed in element order, at
+/// candidate scale `s` — the scalar definition every wide path must
+/// reproduce bit-for-bit.
+///
+/// Codes clamp to `[-qm - 1, qm]`, but [`requantize_i8`] and
+/// [`noisy_quant_reconstruct`] reconstruct on `[-qm, qm]`, so the search
+/// can score a scale with a code the reconstruction never emits. The clamp
+/// is kept as is: the golden repro's PTQ and NoisyQuant rows depend on it.
+fn candidate_mse(channel: &[f32], s: f32, qm: f32) -> f64 {
+    channel
+        .iter()
+        .map(|&w| {
+            let q = (w / s).round().clamp(-qm - 1.0, qm);
+            let r = q * s;
+            (w as f64 - r as f64).powi(2)
+        })
+        .sum()
+}
+
+/// [`candidate_mse`] of each of [`GRID_LANES`] candidate scales, written
+/// to `mses` in candidate order.
+fn grid_mses_with(
+    backend: Backend,
+    channel: &[f32],
+    scales: &[f32; GRID_LANES],
+    qm: f32,
+    mses: &mut [f64; GRID_LANES],
+) {
+    #[cfg(target_arch = "x86_64")]
+    if backend == Backend::Native && Backend::native_available() {
+        // SAFETY: AVX2 support was just verified at runtime.
+        unsafe { grid_mses_avx2(channel, scales, qm, mses) };
+        return;
+    }
+    let _ = backend;
+    for (mse, &s) in mses.iter_mut().zip(scales) {
+        *mse = candidate_mse(channel, s, qm);
+    }
+}
+
+/// Eight candidate scales per vector, bit-identical to [`candidate_mse`]
+/// in every lane.
+///
+/// The lanes are candidates, not elements: each element is broadcast and
+/// its squared error added to each candidate's own f64 accumulator, so
+/// every candidate sums the same terms in the same order as the scalar
+/// fold. Division is exact `vdivps`; rounding is the truncate + fraction
+/// compare of [`quantize_row_avx2`], with a blend rather than an add so a
+/// `-0.0` rounds to `-0.0`; the clamp takes `min(qm, q)` and
+/// `max(-qm - 1, ·)` in the operand order that passes a NaN quotient
+/// through, as `f32::clamp` does. The product is rounded to f32 before
+/// widening, and the subtract, square and add stay separate operations
+/// (no FMA).
+///
+/// # Safety
+///
+/// The host must support AVX2.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+unsafe fn grid_mses_avx2(
+    channel: &[f32],
+    scales: &[f32; GRID_LANES],
+    qm: f32,
+    mses: &mut [f64; GRID_LANES],
+) {
+    use core::arch::x86_64::*;
+    let sv = _mm256_loadu_ps(scales.as_ptr());
+    let hi = _mm256_set1_ps(qm);
+    let lo = _mm256_set1_ps(-qm - 1.0);
+    let half = _mm256_set1_ps(0.5);
+    let one = _mm256_set1_ps(1.0);
+    let sign_mask = _mm256_castsi256_ps(_mm256_set1_epi32(i32::MIN));
+    let abs_mask = _mm256_castsi256_ps(_mm256_set1_epi32(0x7fff_ffff));
+    let mut acc_lo = _mm256_setzero_pd();
+    let mut acc_hi = _mm256_setzero_pd();
+    for &w in channel {
+        let q = _mm256_div_ps(_mm256_set1_ps(w), sv);
+        let t = _mm256_round_ps(q, _MM_FROUND_TO_ZERO | _MM_FROUND_NO_EXC);
+        let frac = _mm256_and_ps(_mm256_sub_ps(q, t), abs_mask);
+        let away = _mm256_add_ps(t, _mm256_or_ps(one, _mm256_and_ps(q, sign_mask)));
+        let rounded = _mm256_blendv_ps(t, away, _mm256_cmp_ps(frac, half, _CMP_GE_OQ));
+        let clamped = _mm256_max_ps(lo, _mm256_min_ps(hi, rounded));
+        let r = _mm256_mul_ps(clamped, sv);
+        let wd = _mm256_set1_pd(w as f64);
+        let d_lo = _mm256_sub_pd(wd, _mm256_cvtps_pd(_mm256_castps256_ps128(r)));
+        let d_hi = _mm256_sub_pd(wd, _mm256_cvtps_pd(_mm256_extractf128_ps(r, 1)));
+        acc_lo = _mm256_add_pd(acc_lo, _mm256_mul_pd(d_lo, d_lo));
+        acc_hi = _mm256_add_pd(acc_hi, _mm256_mul_pd(d_hi, d_hi));
+    }
+    _mm256_storeu_pd(mses.as_mut_ptr(), acc_lo);
+    _mm256_storeu_pd(mses.as_mut_ptr().add(4), acc_hi);
 }
 
 /// Quantizes a 2-D `[channels, elems]` `f32` tensor symmetrically per
@@ -589,6 +709,116 @@ mod tests {
             }
             assert_eq!(absmax_f64_with(backend, &[]), 0.0);
             assert_eq!(absmax_f64_with(backend, &[-0.0f32; 11]), 0.0);
+        }
+    }
+
+    /// Asserts that `backend` scores every `MseGrid(steps)` candidate of
+    /// `channel` with the scalar oracle's exact MSE bits and picks the
+    /// oracle's scale bits.
+    fn assert_grid_matches(backend: Backend, channel: &[f32], bits: u8, steps: usize) {
+        let qm = qmax(bits) as f64;
+        let absmax = absmax_f64_with(Backend::Scalar, channel);
+        let ctx = format!("{backend:?} n={} bits={bits} steps={steps}", channel.len());
+        let candidates: Vec<f32> = (0..steps)
+            .map(|k| grid_candidate(absmax, qm, steps, k))
+            .collect();
+        for batch in candidates.chunks(GRID_LANES) {
+            // A short last batch leaves zero scales in its spare lanes.
+            let mut scales = [0.0f32; GRID_LANES];
+            scales[..batch.len()].copy_from_slice(batch);
+            let mut got = [0.0f64; GRID_LANES];
+            grid_mses_with(backend, channel, &scales, qm as f32, &mut got);
+            for (&s, g) in scales.iter().zip(&got) {
+                let want = candidate_mse(channel, s, qm as f32);
+                assert_eq!(g.to_bits(), want.to_bits(), "{ctx} s={s:e}: {g} vs {want}");
+            }
+        }
+        let want = mse_grid_scale_with(Backend::Scalar, channel, absmax, qm, steps);
+        let got = mse_grid_scale_with(backend, channel, absmax, qm, steps);
+        assert_eq!(
+            got.to_bits(),
+            want.to_bits(),
+            "{ctx}: scale {got:e} vs {want:e}"
+        );
+        let method = ScaleMethod::MseGrid(steps);
+        assert_eq!(
+            channel_scale_with(backend, channel, bits, method).to_bits(),
+            channel_scale_with(Backend::Scalar, channel, bits, method).to_bits(),
+            "{ctx}: channel_scale_with"
+        );
+    }
+
+    const GRID_STEPS: [usize; 6] = [1, 5, 8, 31, 32, 64];
+
+    #[test]
+    fn mse_grid_matches_scalar_on_every_backend() {
+        let mut rng = SeededRng::new(79);
+        for backend in Backend::available() {
+            for case in 0..120 {
+                let n = rng.uniform_usize(1, 131);
+                let bits = rng.uniform_usize(2, 9) as u8;
+                let std = [2.0, 20.0, 60.0][case % 3];
+                let channel: Vec<f32> = (0..n).map(|_| rng.gaussian_i8(0.0, std) as f32).collect();
+                for steps in GRID_STEPS {
+                    assert_grid_matches(backend, &channel, bits, steps);
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn mse_grid_matches_scalar_at_the_code_edges() {
+        let extremes: Vec<f32> = (0..40)
+            .map(|i| [-128.0, 127.0, 0.0, -1.0, 64.0][i % 5])
+            .collect();
+        let saturated = [-128.0f32; 33];
+        let top = [127.0f32; 7];
+        for backend in Backend::available() {
+            for bits in 2..=8 {
+                for steps in GRID_STEPS {
+                    assert_grid_matches(backend, &extremes, bits, steps);
+                    assert_grid_matches(backend, &saturated, bits, steps);
+                    assert_grid_matches(backend, &top, bits, steps);
+                    // All-zero channels keep the unit scale, and every
+                    // candidate of a zero absmax is a NaN-scoring 0.0.
+                    let zeros = [0.0f32; 32];
+                    assert_grid_matches(backend, &zeros, bits, steps);
+                    assert_eq!(
+                        channel_scale_with(backend, &zeros, bits, ScaleMethod::MseGrid(steps)),
+                        1.0
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn mse_grid_matches_scalar_on_tiny_and_huge_floats() {
+        // Subnormal and tiny absmax flush candidate scales to zero, so
+        // zero weights divide to NaN and the rest to ±inf; huge magnitudes
+        // exercise the f64 widening.
+        let mut rng = SeededRng::new(80);
+        let magnitudes = [1e-45f32, 1e-42, f32::MIN_POSITIVE, 1e-30, 1e30, 3e38];
+        for backend in Backend::available() {
+            for &m in &magnitudes {
+                for case in 0..6 {
+                    let n = rng.uniform_usize(1, 70);
+                    let channel: Vec<f32> = (0..n)
+                        .map(|i| {
+                            if case % 2 == 0 && i % 4 == 0 {
+                                0.0
+                            } else {
+                                (rng.gaussian(0.0, 1.0) as f32).clamp(-1.0, 1.0) * m
+                            }
+                        })
+                        .collect();
+                    for bits in [2u8, 4, 6, 8] {
+                        for steps in GRID_STEPS {
+                            assert_grid_matches(backend, &channel, bits, steps);
+                        }
+                    }
+                }
+            }
         }
     }
 
